@@ -10,9 +10,16 @@ dominates the cost of a single prediction.
 Warm predictions additionally run the GNN inference fast path: the model's
 relational kernels consume a content-addressed cached edge layout (sorted
 once per distinct graph — see :mod:`repro.gnn.edge_layout`), record no
-autodiff graph, and default to float32 arithmetic (``dtype=None`` restores
-float64 training parity).  ``benchmarks/test_perf_gnn_forward.py`` measures
-the forward-pass speedup and writes ``benchmarks/BENCH_pr2.json``.
+autodiff graph, and default to float64 arithmetic, bit-identical to
+training-time evaluation (``dtype=numpy.float32`` opts into float32).
+``benchmarks/test_perf_gnn_forward.py`` measures the forward-pass speedup
+and writes ``benchmarks/BENCH_pr2.json``.
+
+Cold predictions construct graphs in two stages (see
+:meth:`Session._encode_specs`): nodes and edges come from the source text
+alone, so a text that appears under several contexts in one request is
+parsed, built and encoded once, and only its ``Child``-edge weights and
+aux features are recomputed per context.
 
 The facade itself is a thin client of :class:`repro.serve.Server`: every
 ``predict`` / ``predict_batch`` call routes through an embedded server
@@ -238,9 +245,16 @@ class Session:
 
     def _encode_specs(self, specs: Sequence[SourceSpec],
                       snippet: bool = False) -> List[EncodedGraph]:
+        """Encode *specs* in two stages: structure once per distinct text,
+        ``Child``-edge weights and aux features once per context.
+
+        Cache misses are deduplicated by cache key, then grouped by source
+        text.  Parse → graph → encode runs once per text, on the text's
+        first spec; every other spec of that text is re-weighted from the
+        same analyzed AST and shares its structure arrays, which are made
+        read-only (cached graphs are shared across requests anyway).
+        """
         encoded: List[Optional[EncodedGraph]] = [None] * len(specs)
-        # deduplicate by cache key so repeated sources in one cold batch pay
-        # for a single graph construction
         misses: "OrderedDict[tuple, List[int]]" = OrderedDict()
         miss_specs: Dict[tuple, SourceSpec] = {}
         for index, spec in enumerate(specs):
@@ -251,16 +265,30 @@ class Session:
             else:
                 misses.setdefault(key, []).append(index)
                 miss_specs.setdefault(key, spec)
-        if misses:
-            pipeline = Pipeline([
-                ParseStage(snippet=snippet),
-                GraphStage(self.config.graph),
-                EncodeStage(self.encoder),
-            ])
-            context = pipeline.run(specs=[miss_specs[key] for key in misses])
-            for (key, indices), graph in zip(misses.items(), context["encoded"]):
+        if not misses:
+            return encoded  # type: ignore[return-value]
+        texts: "OrderedDict[str, List[tuple]]" = OrderedDict()
+        for key in misses:
+            texts.setdefault(miss_specs[key].source, []).append(key)
+        graph_stage = GraphStage(self.config.graph)
+        context = Pipeline([
+            ParseStage(snippet=snippet),
+            graph_stage,
+            EncodeStage(self.encoder),
+        ]).run(specs=[miss_specs[keys[0]] for keys in texts.values()])
+        for keys, ast, structure in zip(texts.values(), context["asts"],
+                                        context["encoded"]):
+            for array in (structure.node_features, structure.edge_index,
+                          structure.edge_type):
+                array.flags.writeable = False
+            for position, key in enumerate(keys):
+                spec = miss_specs[key]
+                graph = structure if position == 0 else self.encoder.reweight(
+                    structure, graph_stage.child_weights(ast, spec),
+                    num_teams=spec.num_teams, num_threads=spec.num_threads,
+                    name=spec.name)
                 self._cache.put(key, graph)
-                for index in indices:
+                for index in misses[key]:
                     encoded[index] = graph
         return encoded  # type: ignore[return-value]
 
@@ -281,7 +309,7 @@ class Session:
 
     def predict_batch(self, sources: Sequence, platform, *,
                       sizes=None, num_teams: int = 64, num_threads: int = 64,
-                      snippet: bool = False, dtype=np.float32) -> np.ndarray:
+                      snippet: bool = False, dtype=None) -> np.ndarray:
         """Predict runtimes (µs) for a batch of sources on one platform.
 
         ``sources`` may mix raw C strings, :class:`SourceSpec` objects and
@@ -292,11 +320,13 @@ class Session:
 
         The GNN forward runs on the inference fast path: vectorized
         relational kernels over a cached edge layout, no autodiff graph
-        (``repro.nn.no_grad``), and — by default — float32 arithmetic.
-        Pass ``dtype=None`` for full float64 parity with training-time
-        evaluation (predictions differ by well under one part in 1e-4).
+        (``repro.nn.no_grad``), and — by default (``dtype=None``) — float64
+        arithmetic, bit-identical to training-time evaluation.  Pass
+        ``dtype=numpy.float32`` for float32 kernels (predictions then differ
+        from float64, usually by well under one part in 1e-4 but on rare
+        requests by a few parts in 1e-4).
         Empty batches return an empty array in the serving dtype
-        (float64 when ``dtype=None``).
+        (float64 by default).
 
         Thread-safe: this is a thin client of the embedded
         :class:`repro.serve.Server` (see :meth:`server`), all engine
@@ -313,7 +343,7 @@ class Session:
 
     def predict(self, source, platform, *, sizes=None, num_teams: int = 64,
                 num_threads: int = 64, snippet: bool = False,
-                dtype=np.float32) -> float:
+                dtype=None) -> float:
         """Predict the runtime (µs) of a single source on one platform."""
         return float(self.predict_batch(
             [source], platform, sizes=sizes, num_teams=num_teams,

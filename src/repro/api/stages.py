@@ -29,6 +29,7 @@ from ..ml.split import train_val_split
 from ..ml.trainer import Trainer
 from ..paragraph.builder import build_paragraph
 from ..paragraph.encoders import GraphEncoder
+from ..paragraph.weights import WeightConfig, child_edge_weights
 from ..pipeline.dataset_builder import DatasetBuilder
 from ..pipeline.variant_generation import generate_configurations
 from ..pipeline.workflow import PlatformResult
@@ -142,6 +143,24 @@ class GraphStage(Stage):
                 name=spec.name,
             ))
         context["graphs"] = graphs
+
+    def child_weights(self, ast, spec: SourceSpec):
+        """The ``Child``-edge weights, in edge order, that :meth:`run` gives
+        *spec*'s graph — without building it again.
+
+        The per-context half of graph construction: *ast* is the analyzed
+        tree of ``spec.source`` (built under any context), and the result
+        feeds :meth:`~repro.paragraph.encoders.GraphEncoder.reweight`.
+        The unweighted ablation variants weight every Child edge 1.
+        """
+        if not self.config.variant.includes_weights:
+            return 1.0
+        return child_edge_weights(ast, WeightConfig(
+            num_threads=spec.num_threads,
+            num_teams=spec.num_teams,
+            default_trip_count=self.config.default_trip_count,
+            env=ConstantEnvironment(dict(spec.sizes)),
+        ))
 
 
 class EncodeStage(Stage):

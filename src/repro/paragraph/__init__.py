@@ -12,7 +12,7 @@ from .encoders import EncodedGraph, GraphBatch, GraphEncoder
 from .graph import GraphNode, ParaGraph
 from .variants import ABLATION_ORDER, GraphVariant
 from .vocab import DEFAULT_NODE_KINDS, UNK_TOKEN, Vocabulary, default_vocabulary
-from .weights import WeightConfig, compute_execution_counts
+from .weights import WeightConfig, child_edge_weights, compute_execution_counts
 
 __all__ = [
     "ABLATION_ORDER",
@@ -32,6 +32,7 @@ __all__ = [
     "Vocabulary",
     "WeightConfig",
     "build_paragraph",
+    "child_edge_weights",
     "compute_execution_counts",
     "default_vocabulary",
 ]

@@ -20,6 +20,7 @@ AST adds the seven new edge types, and full ParaGraph also adds the weights.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional
 
 from ..clang.ast_nodes import ASTNode, DeclRefExpr, ForStmt, IfStmt
@@ -28,7 +29,7 @@ from ..clang.traversal import preorder, terminals_in_token_order
 from .edges import EdgeType
 from .graph import ParaGraph
 from .variants import GraphVariant
-from .weights import WeightConfig, compute_execution_counts
+from .weights import WeightConfig, child_edge_weights
 
 
 class ParaGraphBuilder:
@@ -61,14 +62,14 @@ class ParaGraphBuilder:
 
         # 2. Child edges (weighted for the full ParaGraph variant)
         if self.variant.includes_weights:
-            counts = compute_execution_counts(root, self.weight_config)
+            weights = iter(child_edge_weights(root, self.weight_config))
         else:
-            counts = {}
+            weights = repeat(1.0)
         for ast_node in preorder(root):
             parent_id = node_ids[id(ast_node)]
             for child in ast_node.children:
-                weight = counts.get(id(child), 1.0) if self.variant.includes_weights else 1.0
-                graph.add_edge(parent_id, node_ids[id(child)], EdgeType.CHILD, weight)
+                graph.add_edge(parent_id, node_ids[id(child)], EdgeType.CHILD,
+                               next(weights))
 
         if not self.variant.includes_augmentation_edges:
             return graph

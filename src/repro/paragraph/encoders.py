@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .edges import EdgeType
 from .graph import ParaGraph
 from .vocab import Vocabulary, default_vocabulary
 
@@ -99,19 +100,61 @@ class GraphEncoder:
             if features.shape[0] == 0:
                 terminal = np.zeros((0, 1))
             features = np.concatenate([features, terminal], axis=1)
-        weights = graph.edge_weights()
-        if self.log_scale_weights:
-            weights = np.log1p(np.maximum(weights, 0.0))
         return EncodedGraph(
             node_features=features,
             edge_index=graph.edge_index(),
             edge_type=graph.edge_types(),
-            edge_weight=weights,
-            aux_features=np.array([float(num_teams), float(num_threads)]),
+            edge_weight=self.edge_weight(graph.edge_weights()),
+            aux_features=self.aux_features(num_teams, num_threads),
             target=float(target),
             name=name or graph.name,
             metadata=dict(metadata or {}),
         )
+
+    def reweight(
+        self,
+        structure: EncodedGraph,
+        child_weights,
+        num_teams: int = 1,
+        num_threads: int = 1,
+        name: str = "",
+    ) -> EncodedGraph:
+        """*structure*'s graph under another execution context.
+
+        Nodes and edges come from the source text alone; the context
+        (problem sizes, teams, threads) only sets the ``Child``-edge
+        weights and the aux features.  So the returned graph shares
+        ``node_features``, ``edge_index`` and ``edge_type`` with
+        *structure* (the same array objects) and gets its own
+        ``aux_features`` and its own ``edge_weight`` from
+        *child_weights*: the raw ``Child``-edge weights in edge order
+        (:func:`~repro.paragraph.weights.child_edge_weights`), or one
+        scalar for the unweighted variants.  Equal, array for array, to
+        encoding a fresh build under that context.
+        """
+        weights = np.zeros(structure.num_edges)
+        weights[structure.edge_type == EdgeType.CHILD] = child_weights
+        return EncodedGraph(
+            node_features=structure.node_features,
+            edge_index=structure.edge_index,
+            edge_type=structure.edge_type,
+            edge_weight=self.edge_weight(weights),
+            aux_features=self.aux_features(num_teams, num_threads),
+            name=name,
+        )
+
+    def edge_weight(self, weights: np.ndarray) -> np.ndarray:
+        """Raw per-edge weights → the ``edge_weight`` array the model reads
+        (``log1p`` when ``log_scale_weights``; trip counts span many orders
+        of magnitude)."""
+        if self.log_scale_weights:
+            return np.log1p(np.maximum(weights, 0.0))
+        return weights
+
+    @staticmethod
+    def aux_features(num_teams: int, num_threads: int) -> np.ndarray:
+        """The two auxiliary scalars fed next to the graph embedding."""
+        return np.array([float(num_teams), float(num_threads)])
 
     # ------------------------------------------------------------------ #
     @staticmethod

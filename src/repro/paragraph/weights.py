@@ -20,7 +20,7 @@ problem-size bindings supplied through a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Optional
 
 from ..clang.ast_nodes import (
     ASTNode,
@@ -32,7 +32,7 @@ from ..clang.ast_nodes import (
     WhileStmt,
 )
 from ..clang.semantics import ConstantEnvironment, estimate_trip_count
-from ..clang.traversal import perfectly_nested_for_loops
+from ..clang.traversal import perfectly_nested_for_loops, preorder
 
 
 @dataclass
@@ -174,6 +174,20 @@ def compute_execution_counts(
     return counts
 
 
-def child_edge_weight(counts: Mapping[int, float], child: ASTNode) -> float:
-    """Weight of the Child edge pointing at *child* (its execution count)."""
-    return float(counts.get(id(child), 1.0))
+def child_edge_weights(
+    root: ASTNode,
+    config: Optional[WeightConfig] = None,
+) -> List[float]:
+    """The ``Child``-edge weights of the tree at *root*, in edge order.
+
+    The builder emits one ``Child`` edge per parent/child pair, parents in
+    pre-order and each parent's children left to right; the edge pointing
+    *to* a node carries that node's execution count.  This is the one place
+    that mapping lives: :class:`~repro.paragraph.builder.ParaGraphBuilder`
+    weights its edges from it, and re-weighting an already encoded graph
+    for another execution context (problem sizes, teams, threads) reads it
+    too, so both give the same weights bit for bit.
+    """
+    counts = compute_execution_counts(root, config)
+    return [counts.get(id(child), 1.0)
+            for node in preorder(root) for child in node.children]

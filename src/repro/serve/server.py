@@ -62,6 +62,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ..clang import LexError, ParseError, PragmaError, SemanticError
 from ..nn.context import serving_scope
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import (
@@ -104,6 +105,9 @@ MAX_RETRIES_ENV = "REPRO_SERVE_MAX_RETRIES"
 BREAKER_THRESHOLD_ENV = "REPRO_SERVE_BREAKER_THRESHOLD"
 BREAKER_RESET_MS_ENV = "REPRO_SERVE_BREAKER_RESET_MS"
 PACKED_ENV = "REPRO_SERVE_PACKED"
+
+#: frontend errors: the request's source text is bad, the shard is fine
+INPUT_ERRORS = (LexError, ParseError, PragmaError, SemanticError)
 
 #: extra slack predict()/predict_specs() grant a pooled future past its
 #: deadline before declaring the request lost — covers the scheduler drop
@@ -190,7 +194,9 @@ class ServerConfig:
         amplification during a persistent outage.
     breaker_threshold:
         Consecutive execution failures that open a shard's circuit
-        breaker.  ``0`` disables breakers entirely.
+        breaker.  ``0`` disables breakers entirely.  Input errors (source
+        text the frontend rejects) fail only their own request and never
+        count.
     breaker_reset_s:
         How long an open circuit waits before admitting a half-open trial.
     packed_forward:
@@ -421,9 +427,13 @@ class Server:
 
     def submit(self, source, platform, *, sizes=None, num_teams: int = 64,
                num_threads: int = 64, snippet: bool = False,
-               dtype=np.float32,
+               dtype=None,
                deadline_s: Optional[float] = None) -> "Future[float]":
         """Queue one prediction; returns a future resolving to µs runtime.
+
+        *dtype* defaults to ``None``: float64 serving, bit-identical to
+        training-time evaluation; ``numpy.float32`` opts into float32
+        kernels (a separate shard).
 
         Queued singles coalesce with other callers' requests into
         micro-batches (see :class:`ServerConfig`).  Under the default
@@ -516,15 +526,16 @@ class Server:
 
     def predict_batch(self, sources: Sequence, platform, *, sizes=None,
                       num_teams: int = 64, num_threads: int = 64,
-                      snippet: bool = False, dtype=np.float32,
+                      snippet: bool = False, dtype=None,
                       deadline_s: Optional[float] = None) -> np.ndarray:
         """Predict runtimes (µs) for a batch of sources on one platform.
 
         The request list is executed as **one job** with its composition
         preserved, so for a fixed list the results are bit-identical no
         matter how many other threads are hammering the server (float64
-        results additionally match the single-threaded reference bit for
-        bit).  Coalescing applies only to :meth:`submit` singles.
+        results — the default, ``dtype=None`` — additionally match the
+        single-threaded reference bit for bit).  Coalescing applies only to
+        :meth:`submit` singles.
         """
         from ..api.stages import SourceSpec
 
@@ -534,7 +545,7 @@ class Server:
                                   dtype=dtype, deadline_s=deadline_s)
 
     def predict_specs(self, specs: Sequence, platform, *, snippet: bool = False,
-                      dtype=np.float32,
+                      dtype=None,
                       deadline_s: Optional[float] = None) -> np.ndarray:
         """:meth:`predict_batch` over prebuilt ``SourceSpec`` objects."""
         self._checked_open()
@@ -658,8 +669,9 @@ class Server:
 
         Transient failures re-attempt under the policy and the server-wide
         budget; every outcome feeds the shard's circuit breaker — except
-        :class:`DeadlineExceeded`, which reports the *caller's* budget, not
-        the shard's health.
+        :class:`DeadlineExceeded`, which reports the *caller's* budget, and
+        frontend errors (:data:`INPUT_ERRORS`), which report the caller's
+        source text; neither says anything about the shard's health.
         """
         breaker = self._breaker_for(key)
 
@@ -676,7 +688,8 @@ class Server:
                 on_retry=on_retry)
         except Exception as error:
             self._execute_wall.observe(time.monotonic() - start)
-            if breaker is not None and not isinstance(error, DeadlineExceeded):
+            if breaker is not None and not isinstance(
+                    error, (DeadlineExceeded,) + INPUT_ERRORS):
                 breaker.record_failure()
             raise
         self._execute_wall.observe(time.monotonic() - start)

@@ -40,6 +40,11 @@ cross-layer invariant checked over many seeded generated cases:
   forward (:mod:`repro.gnn.packing`) is float64 bit-identical to
   predicting each graph alone, for random models, batch compositions and
   packing orders.
+* ``staged-encode-parity`` — the session's staged encode (structure once
+  per source text, ``Child``-edge weights once per context) equals a fresh
+  parse → analyze → build → encode for every spec, array for array, over
+  paper variants × sizes × contexts and generated kernels, all three graph
+  variants and snippet mode.
 
 Every failure reports the integer seed of the offending case;
 ``python -m repro.synth <scenario> <seed>`` replays exactly that case.
@@ -872,6 +877,137 @@ def check_packed_forward_parity(seed: int) -> None:
                                   reference[:1])
 
 
+#: (teams, threads) contexts the staged-encode scenario draws from
+_STAGED_CONTEXTS = tuple((teams, threads) for teams in (1, 8, 64, 256)
+                         for threads in (1, 4, 16, 64))
+#: the encoded arrays the staged-encode scenario compares
+_ENCODED_ARRAYS = ("node_features", "edge_index", "edge_type", "edge_weight",
+                   "aux_features")
+
+
+def _snippet_body(source: str) -> str:
+    """The statements of a one-function kernel, for snippet-mode parsing."""
+    return source[source.index("{") + 1:source.rindex("}")]
+
+
+def check_staged_encode_parity(seed: int) -> None:
+    """The staged session encode equals a fresh encode, spec for spec.
+
+    ``Session._encode_specs`` parses, builds and encodes each distinct
+    source text once per call and re-weights it for every other context
+    (problem sizes, teams, threads) of that text.  Seeded plan: a session
+    under a graph variant and parse mode chosen by ``seed % 6`` (so any 6
+    consecutive seeds cover all three variants, each with full sources and
+    with snippets), seed-chosen encoder flags and default trip count,
+    encodes one shuffled batch: the legal variants of a seed-chosen paper
+    kernel at 3 problem sizes × 3 contexts, 2 generated kernels under 3
+    contexts, and repeats of some full keys.  Specs of one text carry
+    different names.
+
+    Invariant: every spec's graph equals a fresh ``parse → analyze →
+    build_paragraph → GraphEncoder.encode`` under that spec — same dtype
+    and :func:`numpy.testing.assert_array_equal` on all five arrays, same
+    name.  The graphs of one text share their structure arrays, which are
+    read-only, and a second call returns the cached graphs themselves.
+    """
+    from ..advisor import generate_all_variants
+    from ..api.config import GraphConfig, ReproConfig
+    from ..api.session import Session
+    from ..api.stages import SourceSpec
+    from ..clang.parser import parse_snippet
+    from ..clang.semantics import ConstantEnvironment
+    from ..kernels import all_kernels
+    from .source_gen import SourceGenConfig
+
+    rng = np.random.default_rng(seed)
+    variant = list(GraphVariant)[seed % 3]
+    snippet = (seed // 3) % 2 == 1
+    graph_config = GraphConfig(variant=variant,
+                               default_trip_count=int(rng.choice([4, 16, 50])),
+                               include_terminal_flag=bool(rng.integers(0, 2)),
+                               log_scale_weights=bool(rng.integers(0, 2)))
+    session = Session(ReproConfig(graph=graph_config))
+
+    def text(source: str) -> str:
+        return _snippet_body(source) if snippet else source
+
+    def contexts():
+        picks = rng.choice(len(_STAGED_CONTEXTS), size=3, replace=False)
+        return [_STAGED_CONTEXTS[int(index)] for index in picks]
+
+    specs = []
+    kernels = all_kernels()
+    kernel = kernels[int(rng.integers(0, len(kernels)))]
+    for factor in rng.choice([0.25, 0.5, 1.0, 2.0, 3.0], size=3, replace=False):
+        # parameters of at most 8 are shapes (feature counts), kept as is
+        sizes = kernel.sizes_with_defaults({
+            name: max(int(value * factor), 9)
+            for name, value in kernel.default_sizes.items() if value > 8})
+        for kernel_variant in generate_all_variants(kernel, sizes):
+            for teams, threads in contexts():
+                specs.append(SourceSpec(text(kernel_variant.source), sizes,
+                                        teams, threads))
+    shapes = SourceGenConfig(max_block_statements=2, max_loop_depth=2)
+    for index in range(2):
+        generated = generate_kernel(seed * 7 + index, shapes)
+        sizes = {name: int(rng.choice([16, 100, 1000]))
+                 for name in generated.size_params}
+        for teams, threads in contexts():
+            specs.append(SourceSpec(text(generated.source), sizes,
+                                    teams, threads))
+    # names differ among the specs of one text; a repeated key is served
+    # from its first spec's graph, name included, so repeats keep theirs
+    for index, spec in enumerate(specs):
+        spec.name = f"spec-{index}" if rng.random() < 0.5 else ""
+    repeats = rng.choice(len(specs), size=4, replace=False)
+    specs += [SourceSpec(specs[i].source, dict(specs[i].sizes),
+                         specs[i].num_teams, specs[i].num_threads,
+                         specs[i].name) for i in repeats]
+    specs = [specs[int(i)] for i in rng.permutation(len(specs))]
+
+    staged = session._encode_specs(specs, snippet=snippet)
+    first_of_key = {}
+    structure_of_text = {}
+    for spec, graph in zip(specs, staged):
+        key = session._cache_key(spec, snippet)
+        if key in first_of_key:
+            # a repeated key is served from its first spec's graph
+            assert graph is first_of_key[key], "repeated key re-encoded"
+            continue
+        first_of_key[key] = graph
+        if snippet:
+            ast = parse_snippet(spec.source)
+        else:
+            ast = parse_source(spec.source, filename=spec.name or "<repro.api>")
+        analyze(ast)
+        fresh = session.encoder.encode(
+            build_paragraph(ast, variant=variant,
+                            num_threads=spec.num_threads,
+                            num_teams=spec.num_teams,
+                            env=ConstantEnvironment(dict(spec.sizes)),
+                            default_trip_count=graph_config.default_trip_count,
+                            name=spec.name),
+            num_teams=spec.num_teams, num_threads=spec.num_threads,
+            name=spec.name)
+        for field_name in _ENCODED_ARRAYS:
+            got, want = getattr(graph, field_name), getattr(fresh, field_name)
+            assert got.dtype == want.dtype, \
+                f"{field_name}: dtype {got.dtype} != {want.dtype}"
+            np.testing.assert_array_equal(
+                got, want, err_msg=f"{field_name} of {spec.name or 'spec'} "
+                f"under {spec.num_teams}x{spec.num_threads} {spec.sizes}")
+        assert graph.name == fresh.name, f"name {graph.name!r} != {fresh.name!r}"
+        shared = structure_of_text.setdefault(spec.source, graph)
+        for field_name in ("node_features", "edge_index", "edge_type"):
+            array = getattr(graph, field_name)
+            assert array is getattr(shared, field_name), \
+                f"{field_name} not shared across contexts of one text"
+            assert not array.flags.writeable, f"shared {field_name} writeable"
+    assert len(structure_of_text) < len(first_of_key), "no text recurred"
+    again = session._encode_specs(specs, snippet=snippet)
+    assert all(a is b for a, b in zip(again, staged)), "cache hit re-encoded"
+
+
 def check_analysis_planted_defects(seed: int) -> None:
     """Score the static-analysis checkers against planted ground truth.
 
@@ -981,6 +1117,7 @@ _register("packed-forward-parity", check_packed_forward_parity, 16, "gnn")
 _register("analysis-planted-defects", check_analysis_planted_defects, 20,
           "analysis")
 _register("trace-completeness", check_trace_completeness, 20, "obs")
+_register("staged-encode-parity", check_staged_encode_parity, 24, "api")
 
 #: sum of the per-scenario defaults — the tier-1 corpus size.
 DEFAULT_TOTAL_CASES = sum(spec.default_cases for spec in SCENARIOS.values())

@@ -238,6 +238,59 @@ class TestSession:
         assert context["predictions"].shape == (1,)
 
 
+class TestStagedEncode:
+    """Graph construction runs once per distinct text in a call; only the
+    Child-edge weights and aux features are recomputed per context."""
+
+    SPECS = [SourceSpec(text, sizes={"n": n}, num_teams=teams, num_threads=8)
+             for text in (SOURCE.replace("50", "n"), SOURCE)
+             for n, teams in ((10, 4), (1000, 4), (1000, 64))]
+
+    def test_each_text_is_constructed_once_per_call(self, monkeypatch):
+        import repro.api.stages as stages
+        calls = {"parse": 0, "build": 0}
+        parse, build = stages.parse_source, stages.build_paragraph
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return parse(*args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "parse_source", counting_parse)
+        monkeypatch.setattr(stages, "build_paragraph", counting_build)
+        session = Session(ReproConfig())
+        graphs = session._encode_specs(self.SPECS)
+        assert calls == {"parse": 2, "build": 2}      # 2 texts x 3 contexts
+        assert session.cache_info().size == 6
+        # the size-dependent loop gets context-dependent weights
+        assert not np.array_equal(graphs[0].edge_weight, graphs[1].edge_weight)
+        assert graphs[1].aux_features.tolist() == [4.0, 8.0]
+        assert graphs[2].aux_features.tolist() == [64.0, 8.0]
+        for spec, graph in zip(self.SPECS, graphs):
+            fresh = Pipeline([ParseStage(), GraphStage(), EncodeStage()]).run(
+                specs=[spec])["encoded"][0]
+            np.testing.assert_array_equal(graph.edge_weight, fresh.edge_weight)
+            np.testing.assert_array_equal(graph.aux_features,
+                                          fresh.aux_features)
+
+    def test_contexts_share_read_only_structure(self):
+        first, second, third = Session(ReproConfig())._encode_specs(
+            self.SPECS[:3])
+        before = {name: getattr(second, name).copy()
+                  for name in ("node_features", "edge_index", "edge_type")}
+        for name in before:
+            array = getattr(first, name)
+            assert array is getattr(second, name) is getattr(third, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            np.testing.assert_array_equal(getattr(second, name), before[name])
+        assert first.edge_weight is not second.edge_weight
+        assert first.aux_features is not second.aux_features
+
+
 class TestLazyTopLevelImports:
     def test_repro_exposes_api_lazily(self):
         import repro

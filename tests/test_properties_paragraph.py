@@ -1,9 +1,10 @@
 """ParaGraph property suite: structural invariants over the synth corpus.
 
 Sweeps the ``paragraph-invariants`` scenario (generated kernels through
-parse → analyze → build → encode) and the ``graph-validity`` scenario
-(random graphs straight from :mod:`repro.synth.graph_gen`), plus targeted
-assertions about the invariants themselves.
+parse → analyze → build → encode), the ``graph-validity`` scenario
+(random graphs straight from :mod:`repro.synth.graph_gen`) and the
+``staged-encode-parity`` scenario (the session's staged encode against a
+fresh one), plus targeted assertions about the invariants themselves.
 """
 
 import numpy as np
@@ -23,6 +24,11 @@ class TestCorpusSweeps:
     def test_graph_validity_corpus(self):
         report = run_cases("graph-validity")
         assert report.ok and report.cases >= 2
+
+    def test_staged_encode_parity_corpus(self):
+        # structure once per text + weights per context == fresh encode
+        report = run_cases("staged-encode-parity")
+        assert report.ok and report.cases >= 6
 
 
 class TestInvariantMachinery:

@@ -70,8 +70,8 @@ class TestServingEquivalences:
 
     def test_float64_parity_mode_close_to_serving_dtype(self, session, corpus):
         subset = corpus.sources()[:8]
-        served = session.predict_batch(subset, "v100")               # float32
-        exact = session.predict_batch(subset, "v100", dtype=None)    # float64
+        served = session.predict_batch(subset, "v100", dtype=np.float32)
+        exact = session.predict_batch(subset, "v100")                # float64
         scale = 1.0 + np.abs(exact).max()
         np.testing.assert_allclose(served, exact, atol=1e-3 * scale)
 

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.clang.lexer import Token, TokenKind
+from repro.clang.lexer import LexError, Token, TokenKind
 from repro.clang.parser import ParseError
 from repro.reliability import (
     CircuitBreaker,
@@ -529,6 +529,24 @@ class TestServerBreaker:
             server.predict(sources[0], platform, deadline_s=0.0)
         assert server.stats().breakers_open == 0
         assert np.isfinite(server.predict(sources[0], platform))
+
+    @pytest.mark.parametrize("num_workers", [0, 1])
+    def test_input_errors_do_not_trip_the_breaker(self, warm_stack,
+                                                  num_workers):
+        # one client's malformed source fails that request alone; it says
+        # nothing about the shard, so it must not open the breaker for
+        # every other client (default threshold, inline and pooled)
+        session, platform, sources = warm_stack
+        bad = ["void broken( {", "void k(int n) { n = n @ 2; }"]
+        with Server(session, ServerConfig(num_workers=num_workers)) as server:
+            rejected = 2 * server.config.breaker_threshold
+            for index in range(rejected):
+                with pytest.raises((ParseError, LexError)):
+                    server.predict(bad[index % 2], platform)
+            assert server.stats().breakers_open == 0
+            assert server.healthz()["status"] == "ok"
+            assert np.isfinite(server.predict(sources[0], platform))
+            assert server.stats().failures == rejected
 
 
 class TestObservability:

@@ -55,7 +55,7 @@ def reference(session, requests):
     """Single-threaded references, computed before any worker pool exists."""
     return {
         "float64": session.predict_batch(requests, PLATFORM, dtype=None),
-        "float32": session.predict_batch(requests, PLATFORM),
+        "float32": session.predict_batch(requests, PLATFORM, dtype=np.float32),
     }
 
 
@@ -96,10 +96,11 @@ class TestConcurrentPredictBatch:
                 reference["float64"])
 
     def test_single_worker_matches_too(self, session, requests, reference):
+        # the default serving dtype is float64: bit-identical to the reference
         with Server(session, ServerConfig(num_workers=1)) as server:
             np.testing.assert_array_equal(
                 server.predict_batch(requests, PLATFORM),
-                reference["float32"])
+                reference["float64"])
 
 
 class TestMicroBatching:
@@ -509,13 +510,16 @@ class TestExpiredRequestInPackedBatch:
 
 class TestSessionFacadeSatellites:
     def test_empty_batch_honors_serving_dtype(self, session):
-        assert session.predict_batch([], PLATFORM).dtype == np.float32
+        assert session.predict_batch([], PLATFORM).dtype == np.float64
         assert session.predict_batch([], PLATFORM).shape == (0,)
-        assert session.predict_batch([], PLATFORM, dtype=None).dtype == np.float64
+        assert session.predict_batch([], PLATFORM,
+                                     dtype=np.float32).dtype == np.float32
         assert session.predict_batch([], PLATFORM,
                                      dtype=np.float64).dtype == np.float64
         with Server(session, ServerConfig()) as server:
-            assert server.predict_batch([], PLATFORM).dtype == np.float32
+            assert server.predict_batch([], PLATFORM).dtype == np.float64
+            assert server.predict_batch(
+                [], PLATFORM, dtype=np.float32).dtype == np.float32
 
     def test_cache_reset_stats_keeps_entries(self, session, requests):
         session.clear_cache()

@@ -383,7 +383,7 @@ class TestWarmStartServing:
                                                   dtype=None)
         loaded = Session.load(artifact)
         try:
-            served = loaded.predict_batch(SOURCES, PLATFORM)
+            served = loaded.predict_batch(SOURCES, PLATFORM, dtype=np.float32)
             np.testing.assert_allclose(served, reference, rtol=1e-3)
         finally:
             loaded.close()
