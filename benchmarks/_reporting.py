@@ -11,12 +11,16 @@ Performance benchmarks additionally persist machine-readable numbers with
 an ordinary benchmark run must never dirty the working tree — and only an
 explicit ``REPRO_BENCH_RECORD=1`` run updates the *tracked*
 ``benchmarks/BENCH_<tag>.json`` records that CI jobs and later PRs diff
-timings against.
+timings against.  Every record is stamped with the host it was taken on
+(:func:`host_info`), so a timing is never read without its hardware.
 """
 
+import ctypes
 import json
 import os
 import time
+
+import numpy
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -54,8 +58,39 @@ def record_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_RECORD", "").strip() not in {"", "0"}
 
 
+def _blas_threads():
+    """OpenBLAS's thread count, read from the library this process loaded
+    (``None`` when no OpenBLAS is mapped or the platform has no
+    ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libraries = sorted({line.split()[-1] for line in maps
+                                if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for library in libraries:
+        handle = ctypes.CDLL(library)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                function = getattr(handle, symbol)
+                function.argtypes = []
+                function.restype = ctypes.c_int
+                return function()
+    return None
+
+
+def host_info() -> dict:
+    """Processor count plus the BLAS library and thread count numpy uses."""
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu_count": os.cpu_count(),
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": _blas_threads()}
+
+
 def report_json(filename: str, payload: dict) -> str:
-    """Write *payload* as pretty JSON; returns the path written.
+    """Write *payload*, stamped with :func:`host_info` under ``"host"``, as
+    pretty JSON; returns the path written.
 
     ``filename`` is conventionally ``BENCH_<tag>.json`` (e.g. ``BENCH_pr2.json``
     for the GNN-forward micro-benchmark).  The default destination is the
@@ -63,6 +98,7 @@ def report_json(filename: str, payload: dict) -> str:
     to update the tracked record under ``benchmarks/`` instead (the one CI
     and later PRs diff against).
     """
+    payload = dict(payload, host=host_info())
     if record_enabled():
         path = os.path.join(os.path.dirname(__file__), filename)
     else:

@@ -70,7 +70,7 @@ def test_obs_overhead_scopes_on_vs_off():
     requests = build_corpus(CORPUS_SIZE, seed=2028).sources()
     server = Server(session, ServerConfig(
         num_workers=0, max_retries=0, breaker_threshold=0))
-    expected = server.predict_batch(requests, PLATFORM, dtype=None)
+    expected = server.predict_batch(requests, PLATFORM)
 
     def wave() -> tuple:
         """One warm wave of per-request submits; returns (s, latencies)."""
@@ -78,9 +78,9 @@ def test_obs_overhead_scopes_on_vs_off():
         start = time.perf_counter()
         for source in requests:
             begin = time.perf_counter()
-            server.submit(source, PLATFORM, dtype=None).result(timeout=60.0)
+            server.submit(source, PLATFORM).result(timeout=60.0)
             latencies.append(time.perf_counter() - begin)
-        got = server.predict_batch(requests, PLATFORM, dtype=None)
+        got = server.predict_batch(requests, PLATFORM)
         elapsed = time.perf_counter() - start
         np.testing.assert_array_equal(got, expected)
         return elapsed, latencies

@@ -82,7 +82,7 @@ def run_clients(server: Server, requests, expected) -> dict:
         try:
             for _ in range(PASSES_PER_CLIENT):
                 start = time.perf_counter()
-                got = server.predict_batch(requests, PLATFORM, dtype=None)
+                got = server.predict_batch(requests, PLATFORM)
                 elapsed = time.perf_counter() - start
                 np.testing.assert_array_equal(got, expected)
                 with lock:
@@ -115,14 +115,14 @@ def test_serve_throughput_scales_with_workers(benchmark):
     requests = corpus.sources()
 
     # warm the construction cache + layout/scatter caches, pin the reference
-    expected = session.predict_batch(requests, PLATFORM, dtype=None)
+    expected = session.predict_batch(requests, PLATFORM)
 
     # single-threaded inline baseline: the PR 3 soak shape
     baseline_passes = CLIENT_THREADS * PASSES_PER_CLIENT
     start = time.perf_counter()
     for _ in range(baseline_passes):
         np.testing.assert_array_equal(
-            session.predict_batch(requests, PLATFORM, dtype=None), expected)
+            session.predict_batch(requests, PLATFORM), expected)
     baseline_s = time.perf_counter() - start
     baseline_rps = baseline_passes * len(requests) / max(baseline_s, 1e-9)
 
@@ -142,7 +142,7 @@ def test_serve_throughput_scales_with_workers(benchmark):
         coalescing = server.stats()
 
     benchmark.pedantic(
-        lambda: session.predict_batch(requests, PLATFORM, dtype=None),
+        lambda: session.predict_batch(requests, PLATFORM),
         rounds=1, iterations=1)
 
     lines = [f"serving throughput ({len(requests)} kernels/wave, "
@@ -235,14 +235,14 @@ def test_packed_forward_beats_per_graph_loop(benchmark):
 
     def per_graph_wave():
         return np.concatenate([
-            legacy_server.predict_batch([spec], PLATFORM, dtype=None)
+            legacy_server.predict_batch([spec], PLATFORM)
             for spec in requests])
 
     def legacy_wave():
-        return legacy_server.predict_batch(requests, PLATFORM, dtype=None)
+        return legacy_server.predict_batch(requests, PLATFORM)
 
     def packed_wave():
-        return packed_server.predict_batch(requests, PLATFORM, dtype=None)
+        return packed_server.predict_batch(requests, PLATFORM)
 
     arms = {"per_graph": per_graph_wave, "legacy": legacy_wave,
             "packed": packed_wave}
@@ -319,7 +319,7 @@ def test_reliability_overhead_faults_off(benchmark):
 
     session = make_trained_session()
     requests = build_corpus(CORPUS_SIZE, seed=2027).sources()
-    expected = session.predict_batch(requests, PLATFORM, dtype=None)
+    expected = session.predict_batch(requests, PLATFORM)
 
     plain = Server(session, ServerConfig(
         num_workers=0, max_retries=0, breaker_threshold=0))
@@ -329,7 +329,7 @@ def test_reliability_overhead_faults_off(benchmark):
 
     def wave(server: Server) -> float:
         start = time.perf_counter()
-        got = server.predict_batch(requests, PLATFORM, dtype=None)
+        got = server.predict_batch(requests, PLATFORM)
         elapsed = time.perf_counter() - start
         np.testing.assert_array_equal(got, expected)
         return elapsed

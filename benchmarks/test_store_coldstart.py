@@ -63,7 +63,7 @@ def test_store_coldstart(tmp_path):
     session.train()
     train_s = time.perf_counter() - started
     started = time.perf_counter()
-    reference = session.predict_batch(SOURCES, PLATFORM, dtype=None)
+    reference = session.predict_batch(SOURCES, PLATFORM)
     first_predict_after_train_s = time.perf_counter() - started
     train_total_s = train_s + first_predict_after_train_s
 
@@ -79,7 +79,7 @@ def test_store_coldstart(tmp_path):
     loaded = Session.load(artifact)
     load_s = time.perf_counter() - started
     started = time.perf_counter()
-    warm_predictions = loaded.predict_batch(SOURCES, PLATFORM, dtype=None)
+    warm_predictions = loaded.predict_batch(SOURCES, PLATFORM)
     first_predict_after_load_s = time.perf_counter() - started
     warm_total_s = load_s + first_predict_after_load_s
 

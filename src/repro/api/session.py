@@ -10,8 +10,8 @@ dominates the cost of a single prediction.
 Warm predictions additionally run the GNN inference fast path: the model's
 relational kernels consume a content-addressed cached edge layout (sorted
 once per distinct graph — see :mod:`repro.gnn.edge_layout`), record no
-autodiff graph, and default to float64 arithmetic, bit-identical to
-training-time evaluation (``dtype=numpy.float32`` opts into float32).
+autodiff graph, and compute in float64, bit-identical to training-time
+evaluation.
 ``benchmarks/test_perf_gnn_forward.py`` measures the forward-pass speedup
 and writes ``benchmarks/BENCH_pr2.json``.
 
@@ -26,7 +26,7 @@ The facade itself is a thin client of :class:`repro.serve.Server`: every
 (inline by default; ``REPRO_SERVE_WORKERS`` or an explicit
 :class:`~repro.serve.ServerConfig` turn on the worker pool).  All session
 state a request touches — the graph-construction cache, the lazily trained
-models, the engine's inference/dtype switches — is lock-protected or
+models, the engine's no-grad switch — is lock-protected or
 context-local, so concurrent callers need no external synchronization; see
 ``SERVING.md`` for the architecture and reproducibility contract.
 """
@@ -309,7 +309,7 @@ class Session:
 
     def predict_batch(self, sources: Sequence, platform, *,
                       sizes=None, num_teams: int = 64, num_threads: int = 64,
-                      snippet: bool = False, dtype=None) -> np.ndarray:
+                      snippet: bool = False) -> np.ndarray:
         """Predict runtimes (µs) for a batch of sources on one platform.
 
         ``sources`` may mix raw C strings, :class:`SourceSpec` objects and
@@ -320,17 +320,13 @@ class Session:
 
         The GNN forward runs on the inference fast path: vectorized
         relational kernels over a cached edge layout, no autodiff graph
-        (``repro.nn.no_grad``), and — by default (``dtype=None``) — float64
-        arithmetic, bit-identical to training-time evaluation.  Pass
-        ``dtype=numpy.float32`` for float32 kernels (predictions then differ
-        from float64, usually by well under one part in 1e-4 but on rare
-        requests by a few parts in 1e-4).
-        Empty batches return an empty array in the serving dtype
-        (float64 by default).
+        (``repro.nn.no_grad``) and float64 arithmetic, bit-identical to
+        training-time evaluation.  Empty batches return an empty float64
+        array.
 
         Thread-safe: this is a thin client of the embedded
-        :class:`repro.serve.Server` (see :meth:`server`), all engine
-        inference/dtype state is context-local, and every shared cache is
+        :class:`repro.serve.Server` (see :meth:`server`), the engine's
+        no-grad flag is context-local, and every shared cache is
         lock-protected — concurrent callers need no external lock.  The
         request list executes as one job with its composition preserved,
         so for a fixed list the results are bit-reproducible regardless of
@@ -338,16 +334,14 @@ class Session:
         """
         specs = [SourceSpec.of(source, sizes=sizes, num_teams=num_teams,
                                num_threads=num_threads) for source in sources]
-        return self.server().predict_specs(specs, platform, snippet=snippet,
-                                           dtype=dtype)
+        return self.server().predict_specs(specs, platform, snippet=snippet)
 
     def predict(self, source, platform, *, sizes=None, num_teams: int = 64,
-                num_threads: int = 64, snippet: bool = False,
-                dtype=None) -> float:
+                num_threads: int = 64, snippet: bool = False) -> float:
         """Predict the runtime (µs) of a single source on one platform."""
         return float(self.predict_batch(
             [source], platform, sizes=sizes, num_teams=num_teams,
-            num_threads=num_threads, snippet=snippet, dtype=dtype)[0])
+            num_threads=num_threads, snippet=snippet)[0])
 
     # ------------------------------------------------------------------ #
     # persistence (repro.store)
@@ -358,8 +352,8 @@ class Session:
         Trains first if needed, then writes ``manifest.json`` (config,
         vocabulary, encoder settings, scaler state, provenance) plus one
         ``.npz`` state dict per platform under *path*.  A session loaded
-        back with :meth:`Session.load` serves ``dtype=None`` predictions
-        bit-identical to this one.  See ``STORE.md``.
+        back with :meth:`Session.load` serves predictions bit-identical to
+        this one.  See ``STORE.md``.
         """
         from ..store.artifact import save_session
         return save_session(self, path, name=name, overwrite=overwrite)
@@ -371,8 +365,8 @@ class Session:
 
         The returned session's :meth:`train` is a no-op returning the
         restored per-platform results, and :meth:`predict_batch` goes
-        straight to the serving path: float64 (``dtype=None``) predictions
-        are bit-identical to the session that produced the artifact.
+        straight to the serving path: its predictions are bit-identical to
+        the session that produced the artifact.
         ``verify=True`` (default) enforces payload checksums; corrupt or
         version-mismatched artifacts raise ``repro.store`` errors naming
         the offending field.  Subclasses reconstruct as themselves (their

@@ -256,9 +256,8 @@ class TrainStage(Stage):
 class PredictStage(Stage):
     """``encoded`` + ``trainer`` → ``predictions`` (runtimes in µs).
 
-    *dtype* selects the forward-pass precision: ``None`` keeps float64
-    parity with training-time evaluation, ``numpy.float32`` runs the serving
-    fast path (no autodiff graph, float32 kernels) — see
+    The forward runs on the no-autodiff fast path in float64, bit-identical
+    to training-time evaluation — see
     :meth:`repro.ml.trainer.Trainer.predict`.
 
     *packed* routes the whole request list through one block-diagonal
@@ -271,16 +270,14 @@ class PredictStage(Stage):
     requires = ("encoded", "trainer")
     provides = ("predictions",)
 
-    def __init__(self, dtype=None, packed: bool = False) -> None:
-        self.dtype = dtype
+    def __init__(self, packed: bool = False) -> None:
         self.packed = packed
 
     def run(self, context) -> None:
         trainer = context["trainer"]
         encoded = list(context["encoded"])
         if self.packed and hasattr(trainer, "predict_packed"):
-            context["predictions"] = trainer.predict_packed(encoded,
-                                                            dtype=self.dtype)
+            context["predictions"] = trainer.predict_packed(encoded)
             return
         dataset = GraphDataset(encoded, name="predict")
-        context["predictions"] = trainer.predict(dataset, dtype=self.dtype)
+        context["predictions"] = trainer.predict(dataset)

@@ -8,6 +8,11 @@ definitions, variable/array declarations, ``for`` / ``while`` / ``do`` loops,
 unary, calls, subscripts, casts, ``sizeof``), and OpenMP pragmas attached to
 their following statement.
 
+Nesting is bounded: past :data:`MAX_DEPTH` levels a parse fails with a
+located :class:`ParseError` instead of exhausting Python's stack here or in
+the recursive AST walkers downstream (semantic analysis, ParaGraph
+construction), so hostile input cannot turn into a ``RecursionError``.
+
 Two entry points are provided:
 
 * :func:`parse_source` — parse a full file of function definitions / globals.
@@ -91,6 +96,15 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
+#: Deepest parse accepted.  Every recursive grammar rule the parser enters
+#: is one level, and so is every operator folded onto a left-deep chain
+#: (``a + b + c``, ``a, b``, ``a[i][j]``): the chain adds no parser frames
+#: but deepens the AST that downstream walkers recurse over.  The depth
+#: therefore bounds both the parser's own stack and the AST depth.  Real
+#: kernels stay far below it — at most 46 over the 72 paper variants and 64
+#: over 384 generated kernels — while a flat 500-term sum reaches 509.
+MAX_DEPTH = 600
+
 
 class Parser:
     """Token-stream parser.  One instance per parse."""
@@ -98,6 +112,8 @@ class Parser:
     def __init__(self, tokens: Sequence[Token]) -> None:
         self.tokens = list(tokens)
         self.pos = 0
+        #: current nesting depth (see :data:`MAX_DEPTH`)
+        self.depth = 0
         #: Names introduced by ``typedef`` (treated as type names thereafter).
         self.typedef_names: set = set()
 
@@ -141,6 +157,15 @@ class Parser:
         if token is None:
             raise ParseError(f"expected keyword {text!r}", self._peek())
         return token
+
+    def _descend(self) -> int:
+        """Enter one nesting level; returns the depth to restore on exit."""
+        depth = self.depth
+        self.depth = depth + 1
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                             self._peek())
+        return depth
 
     def _at_end(self) -> bool:
         return self._peek().kind is TokenKind.EOF
@@ -223,288 +248,351 @@ class Parser:
         return DeclStmt(decls, location=self._loc(start))
 
     def _parse_init_list(self) -> InitListExpr:
-        start = self._expect_punct("{")
-        inits: List[ASTNode] = []
-        while not self._check_punct("}"):
-            if self._check_punct("{"):
-                inits.append(self._parse_init_list())
-            else:
-                inits.append(self.parse_assignment())
-            if not self._accept_punct(","):
-                break
-        self._expect_punct("}")
-        return InitListExpr(inits, location=self._loc(start))
+        depth = self._descend()
+        try:
+            start = self._expect_punct("{")
+            inits: List[ASTNode] = []
+            while not self._check_punct("}"):
+                if self._check_punct("{"):
+                    inits.append(self._parse_init_list())
+                else:
+                    inits.append(self.parse_assignment())
+                if not self._accept_punct(","):
+                    break
+            self._expect_punct("}")
+            return InitListExpr(inits, location=self._loc(start))
+        finally:
+            self.depth = depth
 
     # ------------------------------------------------------------------ #
     # expressions
     # ------------------------------------------------------------------ #
     def parse_expression(self) -> ASTNode:
         """Parse a full expression including the comma operator."""
-        expr = self.parse_assignment()
-        while self._check_punct(","):
-            op = self._advance()
-            rhs = self.parse_assignment()
-            expr = BinaryOperator(",", expr, rhs, location=self._loc(op),
-                                  token_index=op.index)
-        return expr
+        depth = self._descend()
+        try:
+            expr = self.parse_assignment()
+            while self._check_punct(","):
+                op = self._advance()
+                self._descend()             # each fold deepens the chain
+                rhs = self.parse_assignment()
+                expr = BinaryOperator(",", expr, rhs, location=self._loc(op),
+                                      token_index=op.index)
+            return expr
+        finally:
+            self.depth = depth
 
     def parse_assignment(self) -> ASTNode:
-        lhs = self._parse_conditional()
-        token = self._peek()
-        if token.kind is TokenKind.PUNCTUATOR and token.text in _ASSIGN_OPS:
-            self._advance()
-            rhs = self.parse_assignment()
-            cls = BinaryOperator if token.text == "=" else CompoundAssignOperator
-            return cls(token.text, lhs, rhs, location=self._loc(token),
-                       token_index=token.index)
-        return lhs
+        depth = self._descend()
+        try:
+            lhs = self._parse_conditional()
+            token = self._peek()
+            if token.kind is TokenKind.PUNCTUATOR and token.text in _ASSIGN_OPS:
+                self._advance()
+                rhs = self.parse_assignment()
+                cls = BinaryOperator if token.text == "=" else CompoundAssignOperator
+                return cls(token.text, lhs, rhs, location=self._loc(token),
+                           token_index=token.index)
+            return lhs
+        finally:
+            self.depth = depth
 
     def _parse_conditional(self) -> ASTNode:
-        cond = self._parse_binary(0)
-        if self._check_punct("?"):
-            qmark = self._advance()
-            true_expr = self.parse_expression()
-            self._expect_punct(":")
-            false_expr = self._parse_conditional()
-            return ConditionalOperator(cond, true_expr, false_expr,
-                                       location=self._loc(qmark))
-        return cond
+        depth = self._descend()
+        try:
+            cond = self._parse_binary(0)
+            if self._check_punct("?"):
+                qmark = self._advance()
+                true_expr = self.parse_expression()
+                self._expect_punct(":")
+                false_expr = self._parse_conditional()
+                return ConditionalOperator(cond, true_expr, false_expr,
+                                           location=self._loc(qmark))
+            return cond
+        finally:
+            self.depth = depth
 
     def _parse_binary(self, min_precedence: int) -> ASTNode:
-        lhs = self._parse_unary()
-        while True:
-            token = self._peek()
-            if token.kind is not TokenKind.PUNCTUATOR:
-                break
-            precedence = _BINARY_PRECEDENCE.get(token.text)
-            if precedence is None or precedence < min_precedence:
-                break
-            self._advance()
-            rhs = self._parse_binary(precedence + 1)
-            lhs = BinaryOperator(token.text, lhs, rhs, location=self._loc(token),
-                                 token_index=token.index)
-        return lhs
+        depth = self._descend()
+        try:
+            lhs = self._parse_unary()
+            while True:
+                token = self._peek()
+                if token.kind is not TokenKind.PUNCTUATOR:
+                    break
+                precedence = _BINARY_PRECEDENCE.get(token.text)
+                if precedence is None or precedence < min_precedence:
+                    break
+                self._advance()
+                self._descend()             # each fold deepens the chain
+                rhs = self._parse_binary(precedence + 1)
+                lhs = BinaryOperator(token.text, lhs, rhs, location=self._loc(token),
+                                     token_index=token.index)
+            return lhs
+        finally:
+            self.depth = depth
 
     def _parse_unary(self) -> ASTNode:
-        token = self._peek()
-        if token.kind is TokenKind.PUNCTUATOR and token.text in {"+", "-", "!", "~", "*", "&"}:
-            self._advance()
-            operand = self._parse_unary()
-            return UnaryOperator(token.text, operand, prefix=True,
-                                 location=self._loc(token), token_index=token.index)
-        if token.kind is TokenKind.PUNCTUATOR and token.text in {"++", "--"}:
-            self._advance()
-            operand = self._parse_unary()
-            return UnaryOperator(token.text, operand, prefix=True,
-                                 location=self._loc(token), token_index=token.index)
-        if token.is_keyword("sizeof"):
-            self._advance()
-            if self._check_punct("(") and self._starts_type(1):
+        depth = self._descend()
+        try:
+            token = self._peek()
+            if token.kind is TokenKind.PUNCTUATOR and token.text in {"+", "-", "!", "~", "*", "&"}:
                 self._advance()
+                operand = self._parse_unary()
+                return UnaryOperator(token.text, operand, prefix=True,
+                                     location=self._loc(token), token_index=token.index)
+            if token.kind is TokenKind.PUNCTUATOR and token.text in {"++", "--"}:
+                self._advance()
+                operand = self._parse_unary()
+                return UnaryOperator(token.text, operand, prefix=True,
+                                     location=self._loc(token), token_index=token.index)
+            if token.is_keyword("sizeof"):
+                self._advance()
+                if self._check_punct("(") and self._starts_type(1):
+                    self._advance()
+                    type_name = self._parse_type_specifier()
+                    self._expect_punct(")")
+                    return SizeOfExpr(None, type_name, location=self._loc(token),
+                                      token_index=token.index)
+                operand = self._parse_unary()
+                return SizeOfExpr(operand, "", location=self._loc(token),
+                                  token_index=token.index)
+            if self._check_punct("(") and self._starts_type(1):
+                lparen = self._advance()
                 type_name = self._parse_type_specifier()
                 self._expect_punct(")")
-                return SizeOfExpr(None, type_name, location=self._loc(token),
-                                  token_index=token.index)
-            operand = self._parse_unary()
-            return SizeOfExpr(operand, "", location=self._loc(token),
-                              token_index=token.index)
-        if self._check_punct("(") and self._starts_type(1):
-            lparen = self._advance()
-            type_name = self._parse_type_specifier()
-            self._expect_punct(")")
-            operand = self._parse_unary()
-            return CStyleCastExpr(type_name, operand, location=self._loc(lparen))
-        return self._parse_postfix()
+                operand = self._parse_unary()
+                return CStyleCastExpr(type_name, operand, location=self._loc(lparen))
+            return self._parse_postfix()
+        finally:
+            self.depth = depth
 
     def _parse_postfix(self) -> ASTNode:
-        expr = self._parse_primary()
-        while True:
-            token = self._peek()
-            if token.is_punct("["):
-                self._advance()
-                index = self.parse_expression()
-                self._expect_punct("]")
-                expr = ArraySubscriptExpr(expr, index, location=self._loc(token))
-            elif token.is_punct("("):
-                self._advance()
-                args: List[ASTNode] = []
-                while not self._check_punct(")"):
-                    args.append(self.parse_assignment())
-                    if not self._accept_punct(","):
-                        break
-                self._expect_punct(")")
-                expr = CallExpr(expr, args, location=self._loc(token))
-            elif token.is_punct(".") or token.is_punct("->"):
-                self._advance()
-                member = self._peek()
-                if member.kind is not TokenKind.IDENTIFIER:
-                    raise ParseError("expected member name", member)
-                self._advance()
-                expr = MemberExpr(expr, member.text, token.text == "->",
-                                  location=self._loc(token), token_index=member.index)
-            elif token.is_punct("++") or token.is_punct("--"):
-                self._advance()
-                expr = UnaryOperator(token.text, expr, prefix=False,
-                                     location=self._loc(token), token_index=token.index)
-            else:
-                break
-        return expr
+        depth = self._descend()
+        try:
+            expr = self._parse_primary()
+            while True:
+                token = self._peek()
+                if token.is_punct("["):
+                    self._advance()
+                    index = self.parse_expression()
+                    self._expect_punct("]")
+                    expr = ArraySubscriptExpr(expr, index, location=self._loc(token))
+                elif token.is_punct("("):
+                    self._advance()
+                    args: List[ASTNode] = []
+                    while not self._check_punct(")"):
+                        args.append(self.parse_assignment())
+                        if not self._accept_punct(","):
+                            break
+                    self._expect_punct(")")
+                    expr = CallExpr(expr, args, location=self._loc(token))
+                elif token.is_punct(".") or token.is_punct("->"):
+                    self._advance()
+                    member = self._peek()
+                    if member.kind is not TokenKind.IDENTIFIER:
+                        raise ParseError("expected member name", member)
+                    self._advance()
+                    expr = MemberExpr(expr, member.text, token.text == "->",
+                                      location=self._loc(token), token_index=member.index)
+                elif token.is_punct("++") or token.is_punct("--"):
+                    self._advance()
+                    expr = UnaryOperator(token.text, expr, prefix=False,
+                                         location=self._loc(token), token_index=token.index)
+                else:
+                    break
+                self._descend()             # each fold deepens the chain
+            return expr
+        finally:
+            self.depth = depth
 
     def _parse_primary(self) -> ASTNode:
-        token = self._peek()
-        if token.kind is TokenKind.INT_LITERAL:
-            self._advance()
-            text = token.text.rstrip("uUlL")
-            value = int(text, 0) if text else 0
-            return IntegerLiteral(value, token.text, location=self._loc(token),
-                                  token_index=token.index)
-        if token.kind is TokenKind.FLOAT_LITERAL:
-            self._advance()
-            text = token.text.rstrip("fFlL")
-            return FloatingLiteral(float(text), token.text, location=self._loc(token),
+        depth = self._descend()
+        try:
+            token = self._peek()
+            if token.kind is TokenKind.INT_LITERAL:
+                self._advance()
+                text = token.text.rstrip("uUlL")
+                value = int(text, 0) if text else 0
+                return IntegerLiteral(value, token.text, location=self._loc(token),
+                                      token_index=token.index)
+            if token.kind is TokenKind.FLOAT_LITERAL:
+                self._advance()
+                text = token.text.rstrip("fFlL")
+                return FloatingLiteral(float(text), token.text, location=self._loc(token),
+                                       token_index=token.index)
+            if token.kind is TokenKind.CHAR_LITERAL:
+                self._advance()
+                return CharacterLiteral(token.text, location=self._loc(token),
+                                        token_index=token.index)
+            if token.kind is TokenKind.STRING_LITERAL:
+                self._advance()
+                return StringLiteral(token.text, location=self._loc(token),
+                                     token_index=token.index)
+            if token.kind is TokenKind.IDENTIFIER:
+                self._advance()
+                return DeclRefExpr(token.text, location=self._loc(token),
                                    token_index=token.index)
-        if token.kind is TokenKind.CHAR_LITERAL:
-            self._advance()
-            return CharacterLiteral(token.text, location=self._loc(token),
-                                    token_index=token.index)
-        if token.kind is TokenKind.STRING_LITERAL:
-            self._advance()
-            return StringLiteral(token.text, location=self._loc(token),
-                                 token_index=token.index)
-        if token.kind is TokenKind.IDENTIFIER:
-            self._advance()
-            return DeclRefExpr(token.text, location=self._loc(token),
-                               token_index=token.index)
-        if token.is_punct("("):
-            self._advance()
-            inner = self.parse_expression()
-            self._expect_punct(")")
-            return ParenExpr(inner, location=self._loc(token))
-        raise ParseError("expected expression", token)
+            if token.is_punct("("):
+                self._advance()
+                inner = self.parse_expression()
+                self._expect_punct(")")
+                return ParenExpr(inner, location=self._loc(token))
+            raise ParseError("expected expression", token)
+        finally:
+            self.depth = depth
 
     # ------------------------------------------------------------------ #
     # statements
     # ------------------------------------------------------------------ #
     def parse_statement(self) -> ASTNode:
-        token = self._peek()
-        if token.kind is TokenKind.PRAGMA:
-            return self._parse_pragma_statement()
-        if token.is_punct("{"):
-            return self.parse_compound_statement()
-        if token.is_keyword("if"):
-            return self._parse_if()
-        if token.is_keyword("for"):
-            return self._parse_for()
-        if token.is_keyword("while"):
-            return self._parse_while()
-        if token.is_keyword("do"):
-            return self._parse_do()
-        if token.is_keyword("return"):
-            self._advance()
-            value = None
-            if not self._check_punct(";"):
-                value = self.parse_expression()
+        depth = self._descend()
+        try:
+            token = self._peek()
+            if token.kind is TokenKind.PRAGMA:
+                return self._parse_pragma_statement()
+            if token.is_punct("{"):
+                return self.parse_compound_statement()
+            if token.is_keyword("if"):
+                return self._parse_if()
+            if token.is_keyword("for"):
+                return self._parse_for()
+            if token.is_keyword("while"):
+                return self._parse_while()
+            if token.is_keyword("do"):
+                return self._parse_do()
+            if token.is_keyword("return"):
+                self._advance()
+                value = None
+                if not self._check_punct(";"):
+                    value = self.parse_expression()
+                self._expect_punct(";")
+                return ReturnStmt(value, location=self._loc(token))
+            if token.is_keyword("break"):
+                self._advance()
+                self._expect_punct(";")
+                return BreakStmt(location=self._loc(token), token_index=token.index)
+            if token.is_keyword("continue"):
+                self._advance()
+                self._expect_punct(";")
+                return ContinueStmt(location=self._loc(token), token_index=token.index)
+            if token.is_punct(";"):
+                self._advance()
+                return NullStmt(location=self._loc(token), token_index=token.index)
+            if self._starts_type():
+                return self._parse_declaration()
+            expr = self.parse_expression()
             self._expect_punct(";")
-            return ReturnStmt(value, location=self._loc(token))
-        if token.is_keyword("break"):
-            self._advance()
-            self._expect_punct(";")
-            return BreakStmt(location=self._loc(token), token_index=token.index)
-        if token.is_keyword("continue"):
-            self._advance()
-            self._expect_punct(";")
-            return ContinueStmt(location=self._loc(token), token_index=token.index)
-        if token.is_punct(";"):
-            self._advance()
-            return NullStmt(location=self._loc(token), token_index=token.index)
-        if self._starts_type():
-            return self._parse_declaration()
-        expr = self.parse_expression()
-        self._expect_punct(";")
-        return expr
+            return expr
+        finally:
+            self.depth = depth
 
     def parse_compound_statement(self) -> CompoundStmt:
-        start = self._expect_punct("{")
-        statements: List[ASTNode] = []
-        while not self._check_punct("}"):
-            if self._at_end():
-                raise ParseError("unexpected end of input in block", self._peek())
-            statements.append(self.parse_statement())
-        self._expect_punct("}")
-        return CompoundStmt(statements, location=self._loc(start))
+        depth = self._descend()
+        try:
+            start = self._expect_punct("{")
+            statements: List[ASTNode] = []
+            while not self._check_punct("}"):
+                if self._at_end():
+                    raise ParseError("unexpected end of input in block", self._peek())
+                statements.append(self.parse_statement())
+            self._expect_punct("}")
+            return CompoundStmt(statements, location=self._loc(start))
+        finally:
+            self.depth = depth
 
     def _parse_if(self) -> IfStmt:
-        token = self._expect_keyword("if")
-        self._expect_punct("(")
-        cond = self.parse_expression()
-        self._expect_punct(")")
-        then_branch = self.parse_statement()
-        else_branch = None
-        if self._accept_keyword("else"):
-            else_branch = self.parse_statement()
-        return IfStmt(cond, then_branch, else_branch, location=self._loc(token))
+        depth = self._descend()
+        try:
+            token = self._expect_keyword("if")
+            self._expect_punct("(")
+            cond = self.parse_expression()
+            self._expect_punct(")")
+            then_branch = self.parse_statement()
+            else_branch = None
+            if self._accept_keyword("else"):
+                else_branch = self.parse_statement()
+            return IfStmt(cond, then_branch, else_branch, location=self._loc(token))
+        finally:
+            self.depth = depth
 
     def _parse_for(self) -> ForStmt:
-        token = self._expect_keyword("for")
-        self._expect_punct("(")
-        if self._check_punct(";"):
-            init: ASTNode = NullStmt(location=self._loc(self._peek()))
-            self._advance()
-        elif self._starts_type():
-            init = self._parse_declaration()
-        else:
-            init = self.parse_expression()
+        depth = self._descend()
+        try:
+            token = self._expect_keyword("for")
+            self._expect_punct("(")
+            if self._check_punct(";"):
+                init: ASTNode = NullStmt(location=self._loc(self._peek()))
+                self._advance()
+            elif self._starts_type():
+                init = self._parse_declaration()
+            else:
+                init = self.parse_expression()
+                self._expect_punct(";")
+            if self._check_punct(";"):
+                cond: ASTNode = IntegerLiteral(1, "1", location=self._loc(self._peek()))
+            else:
+                cond = self.parse_expression()
             self._expect_punct(";")
-        if self._check_punct(";"):
-            cond: ASTNode = IntegerLiteral(1, "1", location=self._loc(self._peek()))
-        else:
-            cond = self.parse_expression()
-        self._expect_punct(";")
-        if self._check_punct(")"):
-            inc: ASTNode = NullStmt(location=self._loc(self._peek()))
-        else:
-            inc = self.parse_expression()
-        self._expect_punct(")")
-        body = self.parse_statement()
-        if not isinstance(body, CompoundStmt):
-            body = CompoundStmt([body], location=body.location)
-        return ForStmt(init, cond, body, inc, location=self._loc(token))
+            if self._check_punct(")"):
+                inc: ASTNode = NullStmt(location=self._loc(self._peek()))
+            else:
+                inc = self.parse_expression()
+            self._expect_punct(")")
+            body = self.parse_statement()
+            if not isinstance(body, CompoundStmt):
+                body = CompoundStmt([body], location=body.location)
+            return ForStmt(init, cond, body, inc, location=self._loc(token))
+        finally:
+            self.depth = depth
 
     def _parse_while(self) -> WhileStmt:
-        token = self._expect_keyword("while")
-        self._expect_punct("(")
-        cond = self.parse_expression()
-        self._expect_punct(")")
-        body = self.parse_statement()
-        if not isinstance(body, CompoundStmt):
-            body = CompoundStmt([body], location=body.location)
-        return WhileStmt(cond, body, location=self._loc(token))
+        depth = self._descend()
+        try:
+            token = self._expect_keyword("while")
+            self._expect_punct("(")
+            cond = self.parse_expression()
+            self._expect_punct(")")
+            body = self.parse_statement()
+            if not isinstance(body, CompoundStmt):
+                body = CompoundStmt([body], location=body.location)
+            return WhileStmt(cond, body, location=self._loc(token))
+        finally:
+            self.depth = depth
 
     def _parse_do(self) -> DoStmt:
-        token = self._expect_keyword("do")
-        body = self.parse_statement()
-        if not isinstance(body, CompoundStmt):
-            body = CompoundStmt([body], location=body.location)
-        self._expect_keyword("while")
-        self._expect_punct("(")
-        cond = self.parse_expression()
-        self._expect_punct(")")
-        self._expect_punct(";")
-        return DoStmt(body, cond, location=self._loc(token))
+        depth = self._descend()
+        try:
+            token = self._expect_keyword("do")
+            body = self.parse_statement()
+            if not isinstance(body, CompoundStmt):
+                body = CompoundStmt([body], location=body.location)
+            self._expect_keyword("while")
+            self._expect_punct("(")
+            cond = self.parse_expression()
+            self._expect_punct(")")
+            self._expect_punct(";")
+            return DoStmt(body, cond, location=self._loc(token))
+        finally:
+            self.depth = depth
 
     def _parse_pragma_statement(self) -> ASTNode:
-        token = self._advance()
+        depth = self._descend()
         try:
-            cls, name, clauses = pragmas.parse_omp_pragma(
-                token.text, location=self._loc(token))
-        except pragmas.PragmaError:
-            # Non-OpenMP pragma: skip it and parse the next statement.
-            return self.parse_statement()
-        body = None
-        if not pragmas.is_standalone(name):
-            body = self.parse_statement()
-        return pragmas.build_directive(cls, name, clauses, body,
-                                       location=self._loc(token))
+            token = self._advance()
+            try:
+                cls, name, clauses = pragmas.parse_omp_pragma(
+                    token.text, location=self._loc(token))
+            except pragmas.PragmaError:
+                # Non-OpenMP pragma: skip it and parse the next statement.
+                return self.parse_statement()
+            body = None
+            if not pragmas.is_standalone(name):
+                body = self.parse_statement()
+            return pragmas.build_directive(cls, name, clauses, body,
+                                           location=self._loc(token))
+        finally:
+            self.depth = depth
 
     # ------------------------------------------------------------------ #
     # top level

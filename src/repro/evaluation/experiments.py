@@ -50,18 +50,15 @@ def table3_rows(result: WorkflowResult) -> List[Dict[str, object]]:
 # Fig. 4 — relative error per 10-second runtime bin
 # --------------------------------------------------------------------- #
 def figure4_series(result: WorkflowResult,
-                   bin_width_seconds: float = 10.0,
-                   dtype=None) -> Dict[str, Dict[str, float]]:
+                   bin_width_seconds: float = 10.0) -> Dict[str, Dict[str, float]]:
     """Per-platform binned relative errors (Fig. 4).
 
-    Predictions run on the no-graph inference fast path; *dtype* defaults to
-    float64 so the regenerated figures stay bit-stable against the paper
-    numbers (pass ``numpy.float32`` to measure at serving precision).
+    Predictions run on the no-graph float64 inference fast path.
     """
     series: Dict[str, Dict[str, float]] = {}
     for name, platform_result in result.platforms.items():
         validation = platform_result.validation
-        predictions = platform_result.trainer.predict(validation, dtype=dtype)
+        predictions = platform_result.trainer.predict(validation)
         series[name] = M.binned_relative_error(
             validation.targets(), predictions, bin_width_seconds=bin_width_seconds)
     return series
@@ -79,16 +76,15 @@ def figure5_series(result: WorkflowResult) -> Dict[str, List[float]]:
 # --------------------------------------------------------------------- #
 # Fig. 6 — error rate per application
 # --------------------------------------------------------------------- #
-def figure6_series(result: WorkflowResult, dtype=None) -> Dict[str, Dict[str, float]]:
+def figure6_series(result: WorkflowResult) -> Dict[str, Dict[str, float]]:
     """Per-platform, per-application mean relative error (Fig. 6).
 
-    Predictions run on the no-graph inference fast path; see
-    :func:`figure4_series` for the *dtype* convention.
+    Predictions run on the no-graph float64 inference fast path.
     """
     series: Dict[str, Dict[str, float]] = {}
     for name, platform_result in result.platforms.items():
         validation = platform_result.validation
-        predictions = platform_result.trainer.predict(validation, dtype=dtype)
+        predictions = platform_result.trainer.predict(validation)
         applications = validation.metadata_column("application", "unknown")
         series[name] = M.per_group_relative_error(
             validation.targets(), predictions, applications)

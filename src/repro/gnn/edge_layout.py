@@ -18,8 +18,8 @@ keyed by a digest of the arrays, so repeated inference over the same graph —
 the :class:`repro.api.Session` serving path, whose construction cache returns
 identical encoded graphs — never re-sorts or re-validates, regardless of
 which batch object the arrays travel in.  The cache (and each layout's
-per-dtype scatter-matrix memo) is lock-protected: one process-wide instance
-is shared by every :mod:`repro.serve` worker.
+scatter-matrix memo) is lock-protected: one process-wide instance is shared
+by every :mod:`repro.serve` worker.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -71,12 +71,12 @@ class RelationalEdgeLayout:
     # (N * R, ...): one fancy gather instead of 2-index arithmetic per call
     cell_src: np.ndarray     # (E,) == src * num_relations + rel
     cell_dst: np.ndarray     # (E,) == dst * num_relations + rel
-    #: per-dtype cached sparse scatter matrices for the message aggregation
-    _matrices: Dict[str, object] = field(default_factory=dict, compare=False,
-                                         repr=False)
-    #: guards ``_matrices`` — layouts are shared across serving workers
-    _matrices_lock: threading.Lock = field(default_factory=threading.Lock,
-                                           compare=False, repr=False)
+    #: memoized sparse scatter matrix for the message aggregation (a
+    #: one-element list so the frozen dataclass can fill it in later)
+    _matrix: list = field(default_factory=list, compare=False, repr=False)
+    #: guards ``_matrix`` — layouts are shared across serving workers
+    _matrix_lock: threading.Lock = field(default_factory=threading.Lock,
+                                         compare=False, repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -165,18 +165,17 @@ class RelationalEdgeLayout:
                 values[self.dst_order], self.dst_starts, axis=0)
         return out
 
-    def scatter_matrix(self, dtype) -> Optional[object]:
-        """The cached sparse dst-aggregation matrix for *dtype* (or ``None``
-        when scipy is unavailable); ``matrix @ messages`` sums per node."""
-        key = np.dtype(dtype).str
-        matrices = self._matrices
-        if key in matrices:          # lock-free fast path (GIL-atomic read)
-            return matrices[key]
-        with self._matrices_lock:
-            if key not in matrices:
-                matrices[key] = _build_scatter_matrix(self.dst, self.num_nodes,
-                                                      dtype)
-            return matrices[key]
+    def scatter_matrix(self) -> Optional[object]:
+        """The cached float64 sparse dst-aggregation matrix (or ``None`` when
+        scipy is unavailable); ``matrix @ messages`` sums per node."""
+        memo = self._matrix
+        if memo:                     # lock-free fast path (GIL-atomic read)
+            return memo[0]
+        with self._matrix_lock:
+            if not memo:
+                memo.append(_build_scatter_matrix(self.dst, self.num_nodes,
+                                                  np.float64))
+            return memo[0]
 
 
 class CacheInfo(NamedTuple):

@@ -21,10 +21,9 @@ import numpy as np
 
 from ..api.registries import conv_registry, register_conv
 from ..nn import functional as F
-from ..nn.context import InferenceContext, current_default_dtype
 from ..nn.layers import Dropout, Linear
 from ..nn.module import Module
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import Tensor, concatenate, no_grad
 from ..paragraph.encoders import GraphBatch
 from ..paragraph.edges import NUM_EDGE_TYPES
 from .edge_layout import get_edge_layout
@@ -180,22 +179,17 @@ class ParaGraphModel(Module):
         prediction = self.out_fc(joined)
         return prediction.reshape(-1)
 
-    def predict(self, batch: GraphBatch, dtype=None) -> np.ndarray:
-        """Inference helper returning a plain NumPy array.
+    def predict(self, batch: GraphBatch) -> np.ndarray:
+        """Inference helper returning a plain float64 NumPy array.
 
-        Runs inside an :class:`repro.nn.InferenceContext` — no autodiff
-        graph is recorded, and when *dtype* is given (``np.float32`` for
-        serving) parameters and activations resolve to that dtype for the
-        duration of the forward pass; ``dtype=None`` keeps full float64
-        training parity.  The context is thread-local, so concurrent
-        ``predict`` calls (even in different dtypes, on a shared model)
-        don't interfere: parameter views are immutable per-context casts,
-        never in-place mutations.  The shared ``training`` flag is
-        deliberately left untouched (eval semantics come from the
-        inference context itself — ``Dropout`` is identity under it), so
-        serving never mutates module state a concurrent thread observes.
+        Runs under :class:`repro.nn.no_grad` — no autodiff graph is
+        recorded, and the flag is context-local, so concurrent ``predict``
+        calls on a shared model don't interfere.  The shared ``training``
+        flag is deliberately left untouched (``Dropout`` is identity under
+        ``no_grad``), so serving never mutates module state a concurrent
+        thread observes.
         """
-        with InferenceContext(dtype=dtype):
+        with no_grad():
             return self.forward(batch).data.copy()
 
     # ------------------------------------------------------------------ #
@@ -216,15 +210,14 @@ class ParaGraphModel(Module):
         skipping it here changes nothing).  Returns shape ``(num_graphs,)``.
         """
         packed = batch.layout
-        dtype = current_default_dtype()
-        x = np.asarray(batch.node_features, dtype=dtype)
+        x = np.asarray(batch.node_features, dtype=np.float64)
         for conv_layer in self.convs:
             # the conv hands back a fresh buffer, so the ReLU runs in place
             x = conv_layer.forward_packed(x, packed, batch.edge_weight)
             np.maximum(x, 0.0, out=x)
         pooled = packed_readout(x, packed.batch, packed.num_graphs,
                                 self.readout)
-        aux = np.asarray(batch.aux_features, dtype=dtype)
+        aux = np.asarray(batch.aux_features, dtype=np.float64)
         w1, b1 = self.graph_fc1.weight.data, self.graph_fc1.bias.data
         w2, b2 = self.graph_fc2.weight.data, self.graph_fc2.bias.data
         wa, ba = self.aux_fc.weight.data, self.aux_fc.bias.data
@@ -238,9 +231,9 @@ class ParaGraphModel(Module):
             out[g] = (joined @ wo + bo)[0, 0]
         return out
 
-    def predict_packed(self, batch, dtype=None) -> np.ndarray:
+    def predict_packed(self, batch) -> np.ndarray:
         """Packed inference helper; same context semantics as :meth:`predict`."""
-        with InferenceContext(dtype=dtype):
+        with no_grad():
             return self.forward_packed(batch)
 
 

@@ -177,7 +177,7 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
 
     if num_graphs == 1:
         # single-graph packs reuse the solo layout object outright, sharing
-        # its per-dtype scatter-matrix memo with the unpacked serving path
+        # its scatter-matrix memo with the unpacked serving path
         solo = layouts[0]
         packed = PackedLayout(
             layout=solo, num_graphs=1, node_offsets=node_offsets,

@@ -183,7 +183,7 @@ class RGATConv(MessagePassing):
             aggregated = aggregated + (x @ self.self_weight)
         return aggregated + self.bias
 
-    def _fused_pack(self, dtype):
+    def _fused_pack(self):
         """Pre-packed single-GEMM weights for the fused dense kernel.
 
         ``W2`` is the relation-stacked projection reshaped to ``(F, R*H*C)``
@@ -191,16 +191,12 @@ class RGATConv(MessagePassing):
         fold the attention vectors into the projection
         (``score = x @ (W · att)``), shape ``(F, R*H)`` — attention scores
         never materialise the per-node, per-relation feature block.  Cached
-        per conv *and per dtype* (float32 serving and float64 parity calls
-        interleave across serving threads), keyed by the identity of the
-        (possibly dtype-cast) parameter arrays so a pack lives until the
-        weights change; entries are idempotent, so racing builders are safe
-        without a lock.
+        per conv, keyed by the identity of the parameter arrays so a pack
+        lives until the weights change; building is idempotent, so racing
+        builders are safe without a lock.
         """
         weight, att_src, att_dst = self.weight.data, self.att_src.data, self.att_dst.data
-        key = np.dtype(dtype).str
-        cache = self.__dict__.setdefault("_fused_pack_cache", {})
-        cached = cache.get(key)
+        cached = self.__dict__.get("_fused_pack_cache")
         if cached is not None and cached[0] is weight and cached[1] is att_src \
                 and cached[2] is att_dst:
             return cached[3:]
@@ -215,18 +211,19 @@ class RGATConv(MessagePassing):
         packed_a_dst = np.ascontiguousarray(
             np.einsum("rfhc,rhc->rfh", w4, att_dst)
             .transpose(1, 0, 2).reshape(in_channels, -1))
-        cache[key] = (weight, att_src, att_dst,
-                      packed_w, packed_a_src, packed_a_dst)
+        self.__dict__["_fused_pack_cache"] = (weight, att_src, att_dst,
+                                              packed_w, packed_a_src,
+                                              packed_a_dst)
         return packed_w, packed_a_src, packed_a_dst
 
     def _forward_fused(self, x: Tensor, layout: RelationalEdgeLayout,
                        edge_weight: Optional[np.ndarray]) -> Tensor:
         """Fused no-autodiff kernel: gather → message → softmax → scatter.
 
-        Runs only under :func:`repro.nn.no_grad` (``Tensor.inference``); works
-        on raw arrays with pre-packed weights, scales messages in place and
-        aggregates through the cached sparse scatter matrix, so a forward
-        pass allocates nothing but its per-edge buffers.
+        Runs only under :func:`repro.nn.no_grad`; works on raw arrays with
+        pre-packed weights, scales messages in place and aggregates through
+        the cached sparse scatter matrix, so a forward pass allocates
+        nothing but its per-edge buffers.
         """
         xd = x.data
         num_nodes = xd.shape[0]
@@ -236,7 +233,7 @@ class RGATConv(MessagePassing):
         weight = self.weight.data
 
         if self.num_relations * num_nodes <= 2 * num_edges:
-            packed_w, packed_a_src, packed_a_dst = self._fused_pack(xd.dtype)
+            packed_w, packed_a_src, packed_a_dst = self._fused_pack()
             projected = xd @ packed_w                        # (N, R*H*C)
             score_src = xd @ packed_a_src                    # (N, R*H)
             score_dst = xd @ packed_a_dst
@@ -268,7 +265,7 @@ class RGATConv(MessagePassing):
             logit *= (1.0 + layout.sort(edge_weight, dtype=logit.dtype))[:, None]
         h *= logit[:, :, None]                               # in-place scaling
         messages = h.reshape(num_edges, heads * out_channels)
-        matrix = layout.scatter_matrix(messages.dtype)
+        matrix = layout.scatter_matrix()
         if matrix is not None:
             aggregated = np.asarray(matrix @ messages)
         else:                       # no scipy: generic segment-sum fallback
@@ -316,7 +313,7 @@ class RGATConv(MessagePassing):
                 n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
                 graph_edges = sum(hi - lo for _, lo, hi in chunks)
                 if self.num_relations * (n1 - n0) <= 2 * graph_edges:
-                    packed_w, packed_a_src, packed_a_dst = self._fused_pack(x.dtype)
+                    packed_w, packed_a_src, packed_a_dst = self._fused_pack()
                     xg = x[n0:n1]
                     proj = (xg @ packed_w).reshape(-1, heads, out_channels)
                     score_src = (xg @ packed_a_src).reshape(-1, heads)
@@ -352,7 +349,7 @@ class RGATConv(MessagePassing):
                                             dtype=logit.dtype))[:, None]
             h *= logit[:, :, None]
             messages = h.reshape(num_edges, heads * out_channels)
-            matrix = layout.scatter_matrix(messages.dtype)
+            matrix = layout.scatter_matrix()
             if matrix is not None:
                 aggregated = np.asarray(matrix @ messages)
             else:               # no scipy: per-graph segment sums, solo order

@@ -128,11 +128,16 @@ class Trainer:
                 dtype=None) -> np.ndarray:
         """Predict runtimes (microseconds) for every sample in *dataset*.
 
-        Inference runs on the no-graph fast path (``repro.nn.no_grad``).
-        *dtype* selects the forward-pass precision: ``None`` keeps float64
-        (bit-parity with training-time evaluation); ``np.float32`` is the
-        serving configuration ``Session.predict_batch`` uses.
+        Inference runs on the no-graph fast path (``repro.nn.no_grad``) in
+        float64, the one precision the engine serves.  *dtype* survives only
+        so callers written against the former float32/float64 switch keep
+        working: ``None`` or float64 is accepted, anything else raises
+        :class:`ValueError` rather than silently serving a precision other
+        than the one asked for.
         """
+        if dtype is not None and np.dtype(dtype) != np.float64:
+            raise ValueError(
+                f"predictions are served in float64 only, got dtype={dtype!r}")
         if not self._fitted_scalers:
             raise RuntimeError("Trainer.fit must run before predict")
         if len(dataset) == 0:
@@ -145,30 +150,24 @@ class Trainer:
             scaled = self._scaled_batch(batch)
             with span("engine.forward", num_graphs=scaled.num_graphs,
                       packed=False):
-                if dtype is None:
-                    # don't forward the kwarg: custom models registered
-                    # against the pre-dtype predict() signature must keep
-                    # working
-                    outputs.append(self.model.predict(scaled))
-                else:
-                    outputs.append(self.model.predict(scaled, dtype=dtype))
+                outputs.append(self.model.predict(scaled))
         scaled_predictions = np.concatenate(outputs).astype(np.float64)
         # clamp to the scaler's range before inverting so expm1 cannot overflow
         scaled_predictions = np.clip(scaled_predictions, 0.0, 1.0)
         return self.target_scaler.inverse_transform(scaled_predictions)
 
-    def predict_packed(self, graphs, dtype=None) -> np.ndarray:
+    def predict_packed(self, graphs) -> np.ndarray:
         """Predict runtimes for *graphs* through one packed forward.
 
         Packs the encoded graphs into block-diagonal batches
         (:func:`repro.gnn.pack_graphs`) and runs the model's fused
-        multi-graph kernel — float64 (``dtype=None``) results are
-        bit-identical to predicting each graph alone, for any packing
-        order.  Large batches split into sub-packs of bounded node count
-        (:func:`repro.gnn.split_packs`) so a fused forward's working set
-        stays cache-resident; splitting changes nothing numerically.
-        Models without a packed kernel (e.g. the COMPOFF MLP or a custom
-        registered conv) transparently fall back to :meth:`predict`.
+        multi-graph kernel — results are bit-identical to predicting each
+        graph alone, for any packing order.  Large batches split into
+        sub-packs of bounded node count (:func:`repro.gnn.split_packs`) so
+        a fused forward's working set stays cache-resident; splitting
+        changes nothing numerically.  Models without a packed kernel (e.g.
+        the COMPOFF MLP or a custom registered conv) transparently fall
+        back to :meth:`predict`.
         """
         if not self._fitted_scalers:
             raise RuntimeError("Trainer.fit must run before predict")
@@ -177,8 +176,7 @@ class Trainer:
             return np.zeros(0)
         supports = getattr(self.model, "supports_packed", None)
         if supports is None or not supports():
-            return self.predict(GraphDataset(graphs, name="predict"),
-                                dtype=dtype)
+            return self.predict(GraphDataset(graphs, name="predict"))
         # imported lazily: repro.gnn pulls in the api registries, which in
         # turn import this module
         from ..gnn.packing import pack_graphs, split_packs
@@ -189,17 +187,14 @@ class Trainer:
             batch = pack_graphs(pack, self.model.num_relations)
             batch.aux_features = self.aux_scaler.transform(batch.aux_features)
             with span("engine.forward", num_graphs=len(pack), packed=True):
-                if dtype is None:
-                    outputs = self.model.predict_packed(batch)
-                else:
-                    outputs = self.model.predict_packed(batch, dtype=dtype)
+                outputs = self.model.predict_packed(batch)
             results.append(np.asarray(outputs).astype(np.float64))
         scaled_predictions = np.clip(np.concatenate(results), 0.0, 1.0)
         return self.target_scaler.inverse_transform(scaled_predictions)
 
-    def evaluate(self, dataset: GraphDataset, dtype=None) -> Dict[str, float]:
+    def evaluate(self, dataset: GraphDataset) -> Dict[str, float]:
         """RMSE / normalized RMSE of the current model on *dataset*."""
-        predictions = self.predict(dataset, dtype=dtype)
+        predictions = self.predict(dataset)
         actual = dataset.targets()
         return {
             "rmse": rmse(actual, predictions),

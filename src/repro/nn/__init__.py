@@ -4,34 +4,27 @@ Substitute for PyTorch: tensors with automatic differentiation, standard
 layers (Linear/MLP/Dropout/Embedding), MSE loss and the Adam optimizer — the
 pieces the ParaGraph GNN and the COMPOFF baseline are built from.
 
-Inference fast path: :func:`no_grad` disables closure/graph recording,
-:func:`default_dtype` switches serving forwards to float32, and
-:func:`parameters_as` views a module's parameters in a cast dtype (the
-stored float64 arrays are never touched).  All of that state is
-**context-local** (contextvar-backed, :mod:`repro.nn.context`):
-:class:`InferenceContext` bundles it into one scoped, re-entrant switch,
-so concurrent serving workers need no external lock.  Segment reductions
-(``scatter_add``) route through lock-protected cached sparse scatter
-matrices when scipy is present.
+Tensors default to float64, the one precision training and serving share.
+Inference fast path: :func:`no_grad` disables closure/graph recording; the
+flag is **context-local** (contextvar-backed), so concurrent serving threads
+need no external lock and a training thread keeps recording gradients.
+Segment reductions (``scatter_add``) route through lock-protected cached
+sparse scatter matrices when scipy is present.
 """
 
 from . import functional
-from .context import InferenceContext, serving_active, serving_scope
 from .init import kaiming_uniform, xavier_normal, xavier_uniform
 from .layers import MLP, Dropout, Embedding, Linear, ReLU, Sequential
 from .losses import HuberLoss, MAELoss, MSELoss
-from .module import Module, Parameter, parameters_as
+from .module import Module, Parameter
 from .optim import Adam, Optimizer, SGD
 from .tensor import (
     Tensor,
     concatenate,
-    default_dtype,
-    get_default_dtype,
     is_grad_enabled,
     is_inference,
     no_grad,
     ones,
-    set_default_dtype,
     stack,
     zeros,
 )
@@ -41,7 +34,6 @@ __all__ = [
     "Dropout",
     "Embedding",
     "HuberLoss",
-    "InferenceContext",
     "Linear",
     "MAELoss",
     "MLP",
@@ -54,18 +46,12 @@ __all__ = [
     "Sequential",
     "Tensor",
     "concatenate",
-    "default_dtype",
     "functional",
-    "get_default_dtype",
     "is_grad_enabled",
     "is_inference",
     "kaiming_uniform",
     "no_grad",
     "ones",
-    "parameters_as",
-    "serving_active",
-    "serving_scope",
-    "set_default_dtype",
     "stack",
     "xavier_normal",
     "xavier_uniform",

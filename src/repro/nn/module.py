@@ -8,63 +8,29 @@ round-trips for checkpointing.
 
 Checkpoint semantics (what ``repro.store`` relies on):
 
-* :meth:`state_dict` captures the *stored* arrays — parameters read through
-  the raw tensor slot, so an active serving dtype overlay never leaks cast
-  views into a checkpoint — and preserves each entry's dtype (float64
-  parameters, buffers in whatever dtype they were registered with).
+* :meth:`state_dict` copies the stored arrays and preserves each entry's
+  dtype (float64 parameters, buffers in whatever dtype they were
+  registered with).
 * :meth:`load_state_dict` validates instead of coercing: a checkpoint entry
   whose dtype differs from the module's is an error naming the offending
   entry (pass ``cast=True`` to convert explicitly), and non-finite values
   (NaN/Inf — the signature of a corrupted or truncated artifact) fail
   loudly before any state is mutated.
 
-Serving dtype views are **per-context**, not in-place: while a
-:func:`parameters_as` (module-scoped) or
-:class:`~repro.nn.context.InferenceContext` (context-wide) dtype overlay
-is active, the affected :class:`Parameter` reads resolve to memoized,
-read-only cast views of their stored arrays.  The stored (float64) arrays are
-never touched by serving, so concurrent threads serving in different
-dtypes — or training *a different model* — read exactly the parameters
-they expect.  Optimizer steps reassign parameter arrays one at a time,
-so training the *same* model that is being served concurrently yields
-torn weight snapshots; serve from quiescent (trained) models.
+Serving reads parameters without mutating them, so any number of threads
+can serve one model concurrently.  Optimizer steps reassign parameter
+arrays one at a time, so training the *same* model that is being served
+concurrently yields torn weight snapshots; serve from quiescent (trained)
+models.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .context import _PARAM_DTYPE
 from .tensor import Tensor
-
-#: the ``data`` slot descriptor of :class:`Tensor`; :class:`Parameter`
-#: shadows it with the overlay-aware property below but stores through it.
-_TENSOR_DATA = Tensor.__dict__["data"]
-
-
-def _cast_parameter(parameter: "Parameter", base: np.ndarray,
-                    dtype: np.dtype) -> np.ndarray:
-    """An immutable cast view of one parameter's array, memoized per dtype.
-
-    Views are keyed by (dtype, identity of the stored array): optimizer
-    steps and ``load_state_dict`` reassign ``data`` (a new array object),
-    which invalidates the cached cast automatically.  Entries are written
-    read-only so no caller can mutate a view other contexts share; racing
-    builders produce identical arrays, so the unlocked dict is safe.
-    """
-    cache = parameter.__dict__.get("_cast_cache")
-    if cache is None:
-        cache = parameter.__dict__.setdefault("_cast_cache", {})
-    entry = cache.get(dtype.str)
-    if entry is not None and entry[0] is base:
-        return entry[1]
-    cast = base.astype(dtype)
-    cast.setflags(write=False)
-    cache[dtype.str] = (base, cast)
-    return cast
 
 
 def _checked_buffer(name: str, value) -> np.ndarray:
@@ -80,59 +46,11 @@ def _checked_buffer(name: str, value) -> np.ndarray:
     return array
 
 
-@contextmanager
-def parameters_as(module: "Module", dtype):
-    """View every parameter of *module* in *dtype* for the current context.
-
-    The serving fast path runs float32 forwards through models trained in
-    float64: inside the block each of *module*'s parameters reads its
-    ``data`` as a memoized read-only cast view, and the stored float64
-    arrays are never modified — bit-exact restoration is structural, not a
-    save/restore dance.  The overlay is contextvar-backed (thread/task
-    local) and **module-scoped**: other modules used inside the block keep
-    reading their stored arrays.  Nested overlays compose (inner modules
-    add to — or re-dtype — the outer mapping).  Training must not run
-    inside the block.
-    """
-    dtype = np.dtype(dtype)
-    previous = _PARAM_DTYPE.get()
-    default, per_param = previous if previous is not None else (None, {})
-    merged = dict(per_param)
-    merged.update((id(parameter), dtype) for parameter in module.parameters())
-    token = _PARAM_DTYPE.set((default, merged))
-    try:
-        yield
-    finally:
-        _PARAM_DTYPE.reset(token)
-
-
 class Parameter(Tensor):
-    """A trainable tensor (always ``requires_grad=True``).
-
-    ``data`` is overlay-aware: with no active dtype overlay it is the stored
-    array (trainable in place, reassignable); under a
-    :func:`parameters_as` / ``InferenceContext(dtype=...)`` overlay it reads
-    as the context's immutable cast view.
-    """
+    """A trainable tensor (always ``requires_grad=True``)."""
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
-
-    @property
-    def data(self) -> np.ndarray:
-        base = _TENSOR_DATA.__get__(self)
-        overlay = _PARAM_DTYPE.get()
-        if overlay is None:
-            return base
-        default, per_param = overlay
-        dtype = per_param.get(id(self), default) if per_param else default
-        if dtype is None or base.dtype == dtype:
-            return base
-        return _cast_parameter(self, base, dtype)
-
-    @data.setter
-    def data(self, value) -> None:
-        _TENSOR_DATA.__set__(self, value)
 
 
 class Module:
@@ -268,14 +186,8 @@ class Module:
     # (de)serialization
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Stored parameters and buffers, each copied with its dtype intact.
-
-        Parameters read through the raw tensor slot, so a concurrently
-        active serving dtype overlay (``parameters_as`` /
-        ``InferenceContext(dtype=...)``) can never leak float32 cast views
-        into a checkpoint.
-        """
-        state = {name: _TENSOR_DATA.__get__(parameter).copy()
+        """Stored parameters and buffers, each copied with its dtype intact."""
+        state = {name: parameter.data.copy()
                  for name, parameter in self.named_parameters()}
         for name, buffer in self.named_buffers():
             state[name] = buffer.copy()
@@ -299,7 +211,7 @@ class Module:
         parameters = dict(self.named_parameters())
         buffer_owners = {dotted: (owner, local)
                          for dotted, owner, local in self._buffer_owners()}
-        own_dtypes = {name: _TENSOR_DATA.__get__(parameter).dtype
+        own_dtypes = {name: parameter.data.dtype
                       for name, parameter in parameters.items()}
         own_dtypes.update((dotted, owner._buffers[local].dtype)
                           for dotted, (owner, local) in buffer_owners.items())
@@ -312,7 +224,7 @@ class Module:
         for name, expected_dtype in own_dtypes.items():
             value = np.asarray(state[name])
             if name in parameters:
-                expected_shape = _TENSOR_DATA.__get__(parameters[name]).shape
+                expected_shape = parameters[name].data.shape
             else:
                 owner, local = buffer_owners[name]
                 expected_shape = owner._buffers[local].shape

@@ -13,9 +13,11 @@ library that the reproduction needs:
 * the gather / scatter-add primitives required by message-passing GNNs,
 * an **inference fast path**: inside :func:`no_grad` no operation records a
   backward closure or keeps references to its inputs, so a forward pass
-  allocates only its output arrays, and :func:`default_dtype` switches newly
-  created tensors to ``float32`` for serving (training stays ``float64`` for
-  numerical parity with the reference results).
+  allocates only its output arrays.
+
+Tensors default to float64 — training and serving share one precision, so
+served predictions are bit-identical to training-time evaluation; an
+explicit ``dtype=`` is honoured and preserved by every op.
 
 The engine is eager, and the hot paths are tuned: the backward pass orders
 the graph with an iterative topological sort (no recursion limit on deep
@@ -23,12 +25,11 @@ graphs), gradients accumulate into preallocated buffers in place, and the
 gather/scatter primitives write straight into their destination buffers
 instead of materialising intermediate copies.
 
-All inference/dtype state is **context-local** (contextvar-backed, see
-:mod:`repro.nn.context`): ``no_grad`` and ``default_dtype`` scope to the
-current thread/task, so any number of serving workers can run concurrent
-forwards — in different dtypes — while a training loop keeps recording
-float64 gradients on another thread (on its own model: weights of a model
-being actively optimized are not a stable snapshot to serve from).  The
+The no-grad flag is **context-local** (a :mod:`contextvars` variable):
+``no_grad`` scopes to the current thread/task, so any number of serving
+threads can run concurrent forwards while a training loop keeps recording
+gradients on another thread (on its own model: weights of a model being
+actively optimized are not a stable snapshot to serve from).  The
 process-wide caches (the scatter matrices below) are lock-protected.
 """
 
@@ -36,20 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import warnings
 from collections import OrderedDict
+from contextvars import ContextVar
 from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
-
-from .context import (
-    _DTYPE_OVERRIDE,
-    _INFERENCE,
-    current_default_dtype,
-    serving_active,
-    set_base_dtype,
-)
 
 try:                                    # scipy is optional: scatter_add falls
     from scipy import sparse as _sparse  # back to np.add.at without it
@@ -60,61 +53,12 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
 
 # --------------------------------------------------------------------- #
-# engine state: gradient recording and default dtype (context-local; the
-# contextvars themselves live in repro.nn.context)
+# engine state: gradient recording (context-local)
 # --------------------------------------------------------------------- #
-def get_default_dtype() -> np.dtype:
-    """The dtype newly created tensors are coerced to in this context."""
-    return current_default_dtype()
-
-
-def set_default_dtype(dtype) -> np.dtype:
-    """Set the **process-wide** base default dtype; returns the previous one.
-
-    Legacy, user-facing shim.  It mutates global state, which is exactly
-    what the scoped engine exists to avoid: library code must use
-    :class:`default_dtype` / :class:`~repro.nn.context.InferenceContext`
-    instead, and calling this while a serving runtime owns the current
-    context emits a ``DeprecationWarning`` (the mutation still happens, but
-    active context overlays keep taking precedence over it).
-    """
-    if serving_active():
-        warnings.warn(
-            "set_default_dtype mutates the process-wide default dtype inside "
-            "an active serving context; use the scoped repro.nn.default_dtype "
-            "/ InferenceContext instead — the serving runtime's own dtype "
-            "overlay takes precedence over this call",
-            DeprecationWarning, stacklevel=2)
-    return set_base_dtype(dtype)
-
-
-class default_dtype:
-    """Context manager that switches the default tensor dtype *in context*.
-
-    ``with default_dtype(np.float32): ...`` makes every tensor created inside
-    the block (inputs, wrapped constants, masks) float32, which is the
-    serving configuration.  The switch is contextvar-backed: it scopes to
-    the current thread/task only, so concurrent training code elsewhere
-    stays float64.
-    """
-
-    def __init__(self, dtype) -> None:
-        self.dtype = np.dtype(dtype)
-        if self.dtype.kind != "f":
-            raise TypeError(f"default dtype must be a float dtype, got {self.dtype}")
-        # per-thread token stacks: contextvar tokens must be reset by the
-        # thread that created them, and one instance may be shared
-        self._stacks = threading.local()
-
-    def __enter__(self) -> "default_dtype":
-        stack = getattr(self._stacks, "tokens", None)
-        if stack is None:
-            stack = self._stacks.tokens = []
-        stack.append(_DTYPE_OVERRIDE.set(self.dtype))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _DTYPE_OVERRIDE.reset(self._stacks.tokens.pop())
+#: ``True`` while a :class:`no_grad` block is active in the *current*
+#: context — ops then skip closure/graph recording.  Context-local: a newly
+#: started thread begins from the default, so other threads keep recording.
+_INFERENCE: "ContextVar[bool]" = ContextVar("repro_nn_inference", default=False)
 
 
 def is_grad_enabled() -> bool:
@@ -266,24 +210,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class _TensorMeta(type):
-    """Routes the legacy ``Tensor.inference`` class flag to the contextvar.
-
-    Pre-refactor code (and tests) read/wrote ``Tensor.inference`` as a
-    process-global switch; the property keeps that spelling working while
-    the actual state is context-local.
-    """
-
-    @property
-    def inference(cls) -> bool:
-        return _INFERENCE.get()
-
-    @inference.setter
-    def inference(cls, value: bool) -> None:
-        _INFERENCE.set(bool(value))
-
-
-class Tensor(metaclass=_TensorMeta):
+class Tensor:
     """A differentiable NumPy array."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_prev", "_op")
@@ -298,7 +225,7 @@ class Tensor(metaclass=_TensorMeta):
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype or current_default_dtype())
+        self.data = np.asarray(data, dtype=dtype or np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._backward_fn: Callable[[], None] = _noop

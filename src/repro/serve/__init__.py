@@ -1,6 +1,7 @@
 """``repro.serve`` — the concurrent micro-batching serving runtime.
 
-Built on the re-entrant engine contexts of :mod:`repro.nn.context`:
+Built on the engine's context-local ``repro.nn.no_grad`` flag and one
+serving precision (float64):
 
 * :class:`~repro.serve.server.Server` — owns one trained model set, shards
   requests per platform across a worker pool, coalesces single predictions
@@ -30,7 +31,7 @@ from ..reliability.errors import (
     ServerOverloaded,
 )
 from .batching import BatcherStats, MicroBatcher, ShardKey, WorkItem
-from .server import Server, ServerConfig, ServerStats, resolve_result_dtype
+from .server import Server, ServerConfig, ServerStats
 
 __all__ = [
     "BatcherStats",
@@ -44,5 +45,4 @@ __all__ = [
     "ServerStats",
     "ShardKey",
     "WorkItem",
-    "resolve_result_dtype",
 ]

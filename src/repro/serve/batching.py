@@ -4,8 +4,8 @@ The serving :class:`~repro.serve.server.Server` separates *what to run*
 (this module) from *how to run it* (the worker pool in ``server.py``):
 
 * every request is tagged with a :class:`ShardKey` — the platform it
-  targets plus the parse mode and forward dtype — so only requests that can
-  legally share one GNN forward are ever coalesced,
+  targets plus the parse mode — so only requests that can legally share
+  one GNN forward are ever coalesced,
 * single predictions (``Server.submit``) enter a per-shard queue and are
   **coalesced into micro-batches**: a batch closes when it reaches
   ``max_batch_size`` or when its oldest request has waited
@@ -71,7 +71,6 @@ class ShardKey(NamedTuple):
 
     platform: str            # canonical platform name (one model each)
     snippet: bool            # parse mode changes the graph, so never mix
-    dtype: Optional[str]     # numpy dtype str of the forward, None = float64
 
 
 class WorkItem(NamedTuple):

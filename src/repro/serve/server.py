@@ -4,9 +4,9 @@ A :class:`Server` owns the trained per-platform models of one
 :class:`~repro.api.session.Session` and serves predictions from a pool of
 worker threads:
 
-* **sharding** — requests are grouped per (platform, parse mode, dtype)
-  shard; any worker may execute any shard's next micro-batch, so hot
-  platforms use the whole pool while each batch stays homogeneous,
+* **sharding** — requests are grouped per (platform, parse mode) shard;
+  any worker may execute any shard's next micro-batch, so hot platforms
+  use the whole pool while each batch stays homogeneous,
 * **micro-batching** — single predictions submitted through
   :meth:`Server.submit` / :meth:`Server.predict` coalesce into batches of
   up to ``max_batch_size`` requests within a ``batch_window_s`` window
@@ -17,9 +17,9 @@ worker threads:
 * **whole-job batches** — :meth:`Server.predict_batch` executes the
   caller's request list as one unit, preserving its batch composition so
   float64 results are bit-identical to a single-threaded run,
-* **re-entrant engine state** — every batch executes inside a thread-local
-  :class:`repro.nn.InferenceContext` (via the model's ``predict``), and all
-  shared caches (graph construction, edge layouts, scatter matrices) are
+* **re-entrant engine state** — every batch executes under a thread-local
+  :class:`repro.nn.no_grad` (via the model's ``predict``), and all shared
+  caches (graph construction, edge layouts, scatter matrices) are
   lock-protected, so no external serialization is needed anywhere.
 
 The runtime also implements the **failure model** of
@@ -63,7 +63,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..clang import LexError, ParseError, PragmaError, SemanticError
-from ..nn.context import serving_scope
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import (
     Span,
@@ -93,7 +92,7 @@ from .batching import (
     WorkItem,
 )
 
-__all__ = ["Server", "ServerConfig", "ServerStats", "resolve_result_dtype"]
+__all__ = ["Server", "ServerConfig", "ServerStats"]
 
 #: environment knobs the default configuration reads (see SERVING.md)
 WORKERS_ENV = "REPRO_SERVE_WORKERS"
@@ -151,12 +150,6 @@ def _env_bool(name: str, default: bool) -> bool:
         raise ValueError(
             f"{name} must be a boolean (1/0, true/false, yes/no, on/off), "
             f"got {raw!r}") from None
-
-
-def resolve_result_dtype(dtype) -> np.dtype:
-    """The dtype a prediction array is reported in for a serving *dtype*
-    (``None`` means full float64 parity)."""
-    return np.dtype(np.float64) if dtype is None else np.dtype(dtype)
 
 
 @dataclass(frozen=True)
@@ -409,12 +402,11 @@ class Server:
     # ------------------------------------------------------------------ #
     # request entry points
     # ------------------------------------------------------------------ #
-    def _shard_key(self, platform, snippet: bool, dtype) -> ShardKey:
+    def _shard_key(self, platform, snippet: bool) -> ShardKey:
         # resolving the platform (and training, lazily) happens on the
         # caller's thread so submission errors surface where they were made
         trainer_key = self._ensure_trainer(platform)
-        return ShardKey(platform=trainer_key, snippet=bool(snippet),
-                        dtype=None if dtype is None else np.dtype(dtype).str)
+        return ShardKey(platform=trainer_key, snippet=bool(snippet))
 
     def _absolute_deadline(self, deadline_s: Optional[float]) -> Optional[float]:
         if deadline_s is None:
@@ -427,13 +419,8 @@ class Server:
 
     def submit(self, source, platform, *, sizes=None, num_teams: int = 64,
                num_threads: int = 64, snippet: bool = False,
-               dtype=None,
                deadline_s: Optional[float] = None) -> "Future[float]":
         """Queue one prediction; returns a future resolving to µs runtime.
-
-        *dtype* defaults to ``None``: float64 serving, bit-identical to
-        training-time evaluation; ``numpy.float32`` opts into float32
-        kernels (a separate shard).
 
         Queued singles coalesce with other callers' requests into
         micro-batches (see :class:`ServerConfig`).  Under the default
@@ -456,8 +443,7 @@ class Server:
         spec = SourceSpec.of(source, sizes=sizes, num_teams=num_teams,
                              num_threads=num_threads)
         trace = begin_trace("serve.request", kind="single")
-        key, deadline = self._admit(trace, platform, snippet, dtype,
-                                    deadline_s)
+        key, deadline = self._admit(trace, platform, snippet, deadline_s)
         if not self._workers:
             return self._inline_single(key, spec, deadline, trace)
         try:
@@ -467,7 +453,7 @@ class Server:
             complete_trace(trace, error)
             raise
 
-    def _admit(self, trace, platform, snippet, dtype, deadline_s):
+    def _admit(self, trace, platform, snippet, deadline_s):
         """The shared admission sequence, recorded as a ``serve.submit``
         span; admission failures raise synchronously on the caller's
         thread and complete the request's trace with an error status."""
@@ -477,7 +463,7 @@ class Server:
             self._checked_open()
             fault_point(SITE_SUBMIT)
             deadline = self._absolute_deadline(deadline_s)
-            key = self._shard_key(platform, snippet, dtype)
+            key = self._shard_key(platform, snippet)
             self._checked_breaker(key)
         except BaseException as error:
             if submit_span is not None:
@@ -487,8 +473,7 @@ class Server:
         if trace is not None:
             submit_span.finish()
             trace.root.attributes.update(
-                platform=key.platform, snippet=key.snippet,
-                dtype=key.dtype or "float64")
+                platform=key.platform, snippet=key.snippet)
         return key, deadline
 
     def _inline_single(self, key: ShardKey, spec, deadline, trace) -> "Future":
@@ -526,36 +511,32 @@ class Server:
 
     def predict_batch(self, sources: Sequence, platform, *, sizes=None,
                       num_teams: int = 64, num_threads: int = 64,
-                      snippet: bool = False, dtype=None,
+                      snippet: bool = False,
                       deadline_s: Optional[float] = None) -> np.ndarray:
         """Predict runtimes (µs) for a batch of sources on one platform.
 
         The request list is executed as **one job** with its composition
-        preserved, so for a fixed list the results are bit-identical no
-        matter how many other threads are hammering the server (float64
-        results — the default, ``dtype=None`` — additionally match the
-        single-threaded reference bit for bit).  Coalescing applies only to
-        :meth:`submit` singles.
+        preserved, so for a fixed list the results are bit-identical to the
+        single-threaded reference no matter how many other threads are
+        hammering the server.  Coalescing applies only to :meth:`submit`
+        singles.
         """
         from ..api.stages import SourceSpec
 
         specs = [SourceSpec.of(source, sizes=sizes, num_teams=num_teams,
                                num_threads=num_threads) for source in sources]
         return self.predict_specs(specs, platform, snippet=snippet,
-                                  dtype=dtype, deadline_s=deadline_s)
+                                  deadline_s=deadline_s)
 
     def predict_specs(self, specs: Sequence, platform, *, snippet: bool = False,
-                      dtype=None,
                       deadline_s: Optional[float] = None) -> np.ndarray:
         """:meth:`predict_batch` over prebuilt ``SourceSpec`` objects."""
         self._checked_open()
         if not specs:
-            # honor the serving dtype even for empty batches
-            return np.zeros(0, dtype=resolve_result_dtype(dtype))
+            return np.zeros(0)
         trace = begin_trace("serve.request", kind="job",
                             batch_size=len(specs))
-        key, deadline = self._admit(trace, platform, snippet, dtype,
-                                    deadline_s)
+        key, deadline = self._admit(trace, platform, snippet, deadline_s)
         if not self._workers:
             if deadline is not None and time.monotonic() >= deadline:
                 self._count_deadline_dropped(len(specs))
@@ -652,15 +633,11 @@ class Server:
         from ..api.stages import PredictStage
 
         trainer = self._trainers[key.platform]
-        dtype = None if key.dtype is None else np.dtype(key.dtype)
-        with serving_scope():
-            with obs_span("serve.encode", batch_size=len(specs)):
-                encoded = self._session._encode_specs(specs,
-                                                      snippet=key.snippet)
-            fault_point(SITE_FORWARD)
-            stage = PredictStage(dtype=dtype,
-                                 packed=self.config.packed_forward)
-            context = Pipeline([stage]).run(encoded=encoded, trainer=trainer)
+        with obs_span("serve.encode", batch_size=len(specs)):
+            encoded = self._session._encode_specs(specs, snippet=key.snippet)
+        fault_point(SITE_FORWARD)
+        stage = PredictStage(packed=self.config.packed_forward)
+        context = Pipeline([stage]).run(encoded=encoded, trainer=trainer)
         return context["predictions"]
 
     def _execute_with_retry(self, key: ShardKey, specs: List,
@@ -905,14 +882,9 @@ class Server:
         """
         stats = self.stats()
         breakers = {
-            f"{key.platform}"
-            f"[{'snippet' if key.snippet else 'full'},"
-            f"{key.dtype or 'float64'}]": breaker.state
-            for key, breaker in sorted(
-                self._breakers.items(),
-                # dtype is None for float64 shards: sort on a str surrogate
-                key=lambda kv: (kv[0].platform, kv[0].snippet,
-                                kv[0].dtype or ""))}
+            f"{key.platform}[{'snippet' if key.snippet else 'full'}]":
+                breaker.state
+            for key, breaker in sorted(self._breakers.items())}
         if self._closed:
             status = "closed"
         elif stats.breakers_open:

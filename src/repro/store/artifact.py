@@ -557,8 +557,8 @@ def load_session(path: str, *, serve_config=None, graph_cache_size: int = 256,
 
     The returned session is *warm-started*: ``train()`` is a no-op that
     returns the restored per-platform results, and ``predict_batch`` goes
-    straight to the serving path — float64 (``dtype=None``) predictions are
-    bit-identical to the session that wrote the artifact.  *session_cls*
+    straight to the serving path — its predictions are bit-identical to the
+    session that wrote the artifact.  *session_cls*
     lets ``Session`` subclasses reconstruct as themselves (what
     ``Session.load`` passes).
     """

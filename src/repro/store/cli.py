@@ -131,8 +131,7 @@ def _cmd_load(args) -> int:
             try:
                 runtime = session.predict(source, platform,
                                           num_teams=args.teams,
-                                          num_threads=args.threads,
-                                          dtype=None)
+                                          num_threads=args.threads)
             except KeyError as error:
                 raise StoreError(error.args[0] if error.args
                                  else str(error)) from error

@@ -5,7 +5,7 @@ Seeded generators for synthetic C/OpenMP kernels
 instances (:mod:`~repro.synth.graph_gen`), plus a differential
 property-testing harness (:mod:`~repro.synth.harness`) that sweeps
 cross-layer invariants — parser round trips, graph validity, vectorized-vs-
-reference GNN parity, float32 serving bounds, config round trips — over
+reference GNN parity, packed-forward parity, config round trips — over
 hundreds of seeded cases.  Every failure is reproducible from its seed::
 
     PYTHONPATH=src python -m repro.synth <scenario> <seed>

@@ -15,8 +15,6 @@ cross-layer invariant checked over many seeded generated cases:
 * ``gnn-forward-parity`` / ``gnn-gradient-parity`` — the vectorized RGAT /
   RGCN kernels (including the fused ``no_grad`` path) match the seed
   ``forward_reference`` implementations on random shapes,
-* ``float32-serving-bounds`` — float32 serving stays within tolerance of
-  the float64 training-parity forward,
 * ``pooling-paths`` — the sorted-batch ``reduceat`` pooling shortcut, the
   autodiff fallback and a NumPy oracle agree,
 * ``config-roundtrip`` — random valid configs survive
@@ -26,10 +24,9 @@ cross-layer invariant checked over many seeded generated cases:
   load back with bit-identical state dicts, scaler state and float64
   predictions,
 * ``serving-context-isolation`` — seeded concurrent workloads: threads
-  holding different :class:`repro.nn.InferenceContext` configurations
-  (float32 serving, float64 parity, grad-recording training) run
-  simultaneously on one shared model and none of the dtype / no-grad /
-  parameter-view state leaks across threads,
+  inside :class:`repro.nn.no_grad` (serving) and a grad-recording thread
+  (training) run simultaneously on one shared model and the no-grad flag
+  never leaks across threads,
 * ``serve-under-faults`` — the reliability contract: under seeded fault
   injection (transient forward failures, scheduler/worker delays,
   admission faults, tight deadlines, a bounded queue) every request
@@ -319,24 +316,6 @@ def check_gnn_gradient_parity(seed: int) -> None:
                                        err_msg=name)
 
 
-def check_float32_serving_bounds(seed: int) -> None:
-    from ..gnn.models import ParaGraphModel
-
-    batch = random_batch(seed, config=_GNN_SHAPES)
-    model = ParaGraphModel(node_feature_dim=_GNN_SHAPES.feature_dim,
-                           hidden_dim=8, num_relations=NUM_EDGE_TYPES,
-                           seed=seed)
-    exact = model.predict(batch, dtype=None)
-    served = model.predict(batch, dtype=np.float32)
-    assert exact.dtype == np.float64
-    scale = 1.0 + float(np.abs(exact).max())
-    np.testing.assert_allclose(served, exact, atol=1e-3 * scale,
-                               err_msg="float32 serving drifted from float64")
-    # float64 parameters must come back bit-exact after the cast context
-    again = model.predict(batch, dtype=None)
-    np.testing.assert_array_equal(again, exact)
-
-
 def check_pooling_paths(seed: int) -> None:
     from ..gnn.pooling import global_max_pool, global_mean_pool, global_sum_pool
     from ..nn.tensor import Tensor, no_grad
@@ -375,75 +354,70 @@ def check_pooling_paths(seed: int) -> None:
 
 
 def check_context_isolation(seed: int) -> None:
-    """Concurrent engine contexts must not leak state across threads.
+    """Concurrent ``no_grad`` scopes must not leak across threads.
 
     Seeded plan: 2-4 threads share one :class:`repro.nn.Linear`; thread 0
-    may record gradients (training mode), the others hold
-    ``InferenceContext``\\ s with seed-chosen dtypes.  A barrier forces every
-    context to be active simultaneously; each thread then asserts its own
-    view of ``get_default_dtype`` / ``is_grad_enabled`` and its forward
-    output must be bit-identical to the same forward run sequentially.
+    records gradients (training), the others forward inside
+    :class:`repro.nn.no_grad` scopes — nested 1-2 deep, and on some seeds
+    one ``no_grad`` instance shared by every thread.  A barrier forces
+    every scope to be active simultaneously; each thread then asserts its
+    own view of ``is_grad_enabled`` and its forward output must be
+    bit-identical to the same forward run sequentially.
     """
     import threading
+    from contextlib import ExitStack
 
-    from ..nn import InferenceContext, Linear, Tensor, get_default_dtype, \
-        is_grad_enabled
+    from ..nn import Linear, Tensor, is_grad_enabled, no_grad
 
     rng = np.random.default_rng(seed)
     num_threads = 2 + int(rng.integers(0, 3))
     layer = Linear(6, 4, rng=np.random.default_rng(seed + 1))
     features = rng.normal(size=(5, 6))
-    dtypes = (None, np.float32, np.float64)
-    plans = []
-    for index in range(num_threads):
-        # at most one grad-recording thread: parameter .grad buffers are
-        # shared training state, only the contexts are per-thread
-        grad = index == 0 and bool(rng.integers(0, 2))
-        dtype = None if grad else dtypes[int(rng.integers(0, len(dtypes)))]
-        plans.append((dtype, grad))
+    depth = 1 + int(rng.integers(0, 2))
+    shared = no_grad() if rng.integers(0, 2) else None
 
-    def forward(dtype, grad):
+    def enter_no_grad(stack: ExitStack) -> None:
+        for _ in range(depth):
+            stack.enter_context(shared or no_grad())
+
+    def forward(grad):
         if grad:
-            x = Tensor(features.copy(), requires_grad=True)
-            out = layer(x)
+            out = layer(Tensor(features.copy(), requires_grad=True))
             assert out.requires_grad and out._prev, "autodiff graph not recorded"
             return out
-        with InferenceContext(dtype=dtype):
+        with ExitStack() as stack:
+            enter_no_grad(stack)
             out = layer(Tensor(features))
-            assert not out.requires_grad
-            return out
+        assert not out.requires_grad
+        return out
 
-    expected = [forward(dtype, grad).data.copy() for dtype, grad in plans]
+    expected = [forward(index == 0).data.copy() for index in range(num_threads)]
 
     barrier = threading.Barrier(num_threads)
     outputs: List[Optional[np.ndarray]] = [None] * num_threads
     failures: List[str] = []
 
     def run(index: int) -> None:
-        dtype, grad = plans[index]
         try:
-            if grad:
+            if index == 0:
                 barrier.wait()
                 assert is_grad_enabled(), "no_grad leaked into training thread"
-                assert get_default_dtype() == np.float64, \
-                    "dtype overlay leaked into training thread"
-                out = forward(dtype, grad)
-                barrier.wait()      # overlap: every context active right now
-                assert is_grad_enabled() and get_default_dtype() == np.float64
+                out = forward(True)
+                barrier.wait()      # overlap: every scope active right now
+                assert is_grad_enabled()
                 out.sum().backward()
                 outputs[index] = out.data.copy()
             else:
-                with InferenceContext(dtype=dtype):
+                with ExitStack() as stack:
+                    enter_no_grad(stack)
                     barrier.wait()
-                    want = np.dtype(np.float64 if dtype is None else dtype)
-                    assert get_default_dtype() == want, "dtype leaked across threads"
-                    assert not is_grad_enabled(), "no_grad flag leaked"
+                    assert not is_grad_enabled(), "no_grad flag lost"
                     out = layer(Tensor(features))
                     assert not out.requires_grad
-                    assert out.data.dtype == want
                     barrier.wait()
-                    assert get_default_dtype() == want
+                    assert not is_grad_enabled()
                     outputs[index] = out.data.copy()
+                assert is_grad_enabled(), "no_grad outlived its scope"
         except Exception as error:  # noqa: BLE001 - reported with the seed
             failures.append(f"thread {index}: {type(error).__name__}: {error}")
             barrier.abort()         # release peers instead of deadlocking
@@ -455,13 +429,13 @@ def check_context_isolation(seed: int) -> None:
     for thread in threads:
         thread.join()
     assert not failures, failures[0]
-    for index, (dtype, grad) in enumerate(plans):
+    for index in range(num_threads):
         np.testing.assert_array_equal(
             outputs[index], expected[index],
-            err_msg=f"thread {index} (dtype={dtype}, grad={grad}) diverged "
-                    "from its sequential reference")
+            err_msg=f"thread {index} (grad={index == 0}) diverged from its "
+                    "sequential reference")
     # the spawning context itself must come out untouched
-    assert is_grad_enabled() and get_default_dtype() == np.float64
+    assert is_grad_enabled()
 
 
 def check_store_roundtrip(seed: int) -> None:
@@ -473,8 +447,7 @@ def check_store_roundtrip(seed: int) -> None:
     :func:`repro.store.save_trainers`; the artifact must pass
     :func:`repro.store.verify_artifact`, and the loaded trainers must
     carry bit-identical float64 state dicts (dtypes preserved), identical
-    scaler payloads, and produce bit-identical float64 predictions (with
-    float32 serving staying within the usual tolerance).
+    scaler payloads, and produce bit-identical float64 predictions.
     """
     import shutil
     import tempfile
@@ -538,15 +511,9 @@ def check_store_roundtrip(seed: int) -> None:
             assert restored.target_scaler.to_dict() == \
                 trainer.target_scaler.to_dict()
             assert restored.aux_scaler.to_dict() == trainer.aux_scaler.to_dict()
-            exact = trainer.predict(dataset)
             np.testing.assert_array_equal(
-                restored.predict(dataset), exact,
+                restored.predict(dataset), trainer.predict(dataset),
                 err_msg=f"{platform}: float64 predictions not bit-identical")
-            served = restored.predict(dataset, dtype=np.float32)
-            scale = 1.0 + float(np.abs(exact).max())
-            np.testing.assert_allclose(
-                served, exact, atol=1e-3 * scale,
-                err_msg=f"{platform}: float32 serving drifted after reload")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -644,9 +611,9 @@ def check_serve_under_faults(seed: int) -> None:
     # fault-free float64 references (inline server: same execution path)
     clean = Server(session, ServerConfig(num_workers=0, max_retries=0,
                                          breaker_threshold=0))
-    references = [float(clean.predict_batch([source], platform, dtype=None)[0])
+    references = [float(clean.predict_batch([source], platform)[0])
                   for source in sources]
-    reference_batch = clean.predict_batch(sources, platform, dtype=None)
+    reference_batch = clean.predict_batch(sources, platform)
 
     menu = [
         FaultSpec("engine.forward", "raise",
@@ -674,7 +641,7 @@ def check_serve_under_faults(seed: int) -> None:
             for index, source in enumerate(sources):
                 deadline_s = 0.0 if expire_one and index == 0 else None
                 try:
-                    future = server.submit(source, platform, dtype=None,
+                    future = server.submit(source, platform,
                                            deadline_s=deadline_s)
                 except typed:
                     continue        # typed admission rejection: allowed
@@ -695,7 +662,7 @@ def check_serve_under_faults(seed: int) -> None:
                     f"request {index} silently corrupted: got {value!r}, "
                     f"fault-free reference {references[index]!r}")
             try:
-                batch = server.predict_batch(sources, platform, dtype=None,
+                batch = server.predict_batch(sources, platform,
                                              deadline_s=5.0)
             except typed:
                 pass
@@ -766,7 +733,7 @@ def check_trace_completeness(seed: int) -> None:
             deadline_s = 0.0 if expire_one and index == 0 else None
             submissions += 1
             try:
-                future = server.submit(source, platform, dtype=None,
+                future = server.submit(source, platform,
                                        deadline_s=deadline_s)
             except typed:
                 continue            # typed admission rejection: allowed
@@ -783,7 +750,7 @@ def check_trace_completeness(seed: int) -> None:
                     f"request {index} hung (future unresolved after 10s)")
         submissions += 1
         try:
-            server.predict_batch(sources, platform, dtype=None,
+            server.predict_batch(sources, platform,
                                  deadline_s=5.0)
         except typed:
             pass
@@ -1107,7 +1074,6 @@ _register("paragraph-invariants", check_paragraph_invariants, 48, "paragraph")
 _register("graph-validity", check_graph_validity, 40, "paragraph")
 _register("gnn-forward-parity", check_gnn_forward_parity, 24, "gnn")
 _register("gnn-gradient-parity", check_gnn_gradient_parity, 8, "gnn")
-_register("float32-serving-bounds", check_float32_serving_bounds, 12, "nn")
 _register("pooling-paths", check_pooling_paths, 16, "gnn")
 _register("config-roundtrip", check_config_roundtrip, 16, "api")
 _register("store-roundtrip", check_store_roundtrip, 6, "store")

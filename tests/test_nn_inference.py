@@ -1,8 +1,8 @@
 """Tests for the autodiff inference fast path and the vectorized kernels.
 
-Covers :func:`repro.nn.no_grad` (no graph recorded, no grads populated),
-the configurable default dtype (float32 serving vs float64 training parity),
-the iterative ``backward()`` topological sort on deep graphs, and numerical
+Covers :func:`repro.nn.no_grad` (no graph recorded, no grads populated,
+context-local across threads), float64 as the one default precision with
+explicit dtypes preserved by every op, the iterative ``backward()`` topological sort on deep graphs, and numerical
 gradient checks for the gather/scatter/segment primitives the vectorized GNN
 kernels are built on.
 """
@@ -10,18 +10,7 @@ kernels are built on.
 import numpy as np
 import pytest
 
-from repro.nn import (
-    InferenceContext,
-    Linear,
-    Tensor,
-    default_dtype,
-    get_default_dtype,
-    is_grad_enabled,
-    no_grad,
-    parameters_as,
-    serving_scope,
-    set_default_dtype,
-)
+from repro.nn import Linear, Tensor, is_grad_enabled, is_inference, no_grad
 from repro.nn import functional as F
 
 
@@ -67,13 +56,13 @@ class TestNoGrad:
         assert a.grad is None
 
     def test_flag_and_nesting(self):
-        assert is_grad_enabled() and not Tensor.inference
+        assert is_grad_enabled() and not is_inference()
         with no_grad():
-            assert Tensor.inference and not is_grad_enabled()
+            assert is_inference() and not is_grad_enabled()
             with no_grad():
-                assert Tensor.inference
-            assert Tensor.inference
-        assert is_grad_enabled() and not Tensor.inference
+                assert is_inference()
+            assert is_inference()
+        assert is_grad_enabled() and not is_inference()
 
     def test_flag_restored_on_exception(self):
         with pytest.raises(RuntimeError):
@@ -96,88 +85,6 @@ class TestNoGrad:
             assert not stack([a, a]).requires_grad
 
 
-class TestDefaultDtype:
-    def test_context_switches_and_restores(self):
-        assert get_default_dtype() == np.float64
-        with default_dtype(np.float32):
-            assert get_default_dtype() == np.float32
-            assert Tensor([1.0, 2.0]).data.dtype == np.float32
-        assert get_default_dtype() == np.float64
-        assert Tensor([1.0]).data.dtype == np.float64
-
-    def test_rejects_non_float(self):
-        with pytest.raises(TypeError):
-            set_default_dtype(np.int64)
-
-    def test_float32_forward_stays_float32(self):
-        with default_dtype(np.float32):
-            a = Tensor(np.ones((4, 3)))
-            b = Tensor(np.ones((3, 2)))
-            out = ((a @ b) * 2.0).relu().sum(axis=0)
-            assert out.data.dtype == np.float32
-
-    def test_ops_preserve_input_dtype_outside_context(self):
-        a = Tensor(np.ones((2, 2)), dtype=np.float32)
-        assert (a + a).data.dtype == np.float32
-        assert a.index_select(np.array([0])).data.dtype == np.float32
-        assert a.scatter_add(np.array([0, 0]), 1).data.dtype == np.float32
-
-    def test_parameters_as_round_trips_bit_exactly(self):
-        layer = Linear(4, 3, rng=np.random.default_rng(0))
-        original = layer.weight.data
-        with parameters_as(layer, np.float32):
-            assert layer.weight.data.dtype == np.float32
-            assert layer.bias.data.dtype == np.float32
-        assert layer.weight.data is original     # restored, not re-cast
-
-    def test_parameters_as_is_module_scoped(self):
-        cast = Linear(4, 3, rng=np.random.default_rng(0))
-        bystander = Linear(4, 3, rng=np.random.default_rng(1))
-        with parameters_as(cast, np.float32):
-            assert cast.weight.data.dtype == np.float32
-            # an unrelated module keeps its stored float64 weights
-            assert bystander.weight.data.dtype == np.float64
-            with parameters_as(bystander, np.float32):   # overlays compose
-                assert bystander.weight.data.dtype == np.float32
-                assert cast.weight.data.dtype == np.float32
-            assert bystander.weight.data.dtype == np.float64
-
-    def test_float32_predictions_match_float64(self):
-        rng = np.random.default_rng(0)
-        layer = Linear(8, 1, rng=rng)
-        features = rng.normal(size=(16, 8))
-        exact = layer(Tensor(features)).data
-        with no_grad(), default_dtype(np.float32), parameters_as(layer, np.float32):
-            fast = layer(Tensor(features)).data
-        assert fast.dtype == np.float32
-        np.testing.assert_allclose(fast, exact, rtol=1e-5, atol=1e-5)
-
-
-class TestInferenceContext:
-    """The contextvar-backed scoped engine state (thread-local, re-entrant)."""
-
-    def test_bundles_no_grad_and_dtype(self):
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        with InferenceContext(dtype=np.float32):
-            assert not is_grad_enabled()
-            assert get_default_dtype() == np.float32
-            out = (a * 2.0).sum()
-            assert not out.requires_grad
-        assert is_grad_enabled() and get_default_dtype() == np.float64
-
-    def test_nests_and_restores_in_order(self):
-        with InferenceContext(dtype=np.float32):
-            with InferenceContext(dtype=np.float64):
-                assert get_default_dtype() == np.float64
-            assert get_default_dtype() == np.float32
-        assert get_default_dtype() == np.float64
-
-    def test_grad_mode_keeps_recording(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        with InferenceContext(dtype=np.float64, grad=True):
-            (a * 3.0).sum().backward()
-        np.testing.assert_allclose(a.grad, np.full(3, 3.0))
-
     def test_threads_are_isolated(self):
         import threading
 
@@ -185,14 +92,14 @@ class TestInferenceContext:
         seen = {}
 
         def serving_thread():
-            with InferenceContext(dtype=np.float32):
+            with no_grad():
                 barrier.wait()
-                seen["serve"] = (get_default_dtype(), is_grad_enabled())
+                seen["serve"] = is_grad_enabled()
                 barrier.wait()
 
         def training_thread():
-            barrier.wait()          # serving context active on the other side
-            seen["train"] = (get_default_dtype(), is_grad_enabled())
+            barrier.wait()          # no_grad active on the other side
+            seen["train"] = is_grad_enabled()
             barrier.wait()
 
         threads = [threading.Thread(target=serving_thread),
@@ -201,31 +108,23 @@ class TestInferenceContext:
             thread.start()
         for thread in threads:
             thread.join()
-        assert seen["serve"] == (np.dtype(np.float32), False)
-        assert seen["train"] == (np.dtype(np.float64), True)
+        assert seen == {"serve": False, "train": True}
 
-    def test_rejects_non_float_dtype(self):
-        with pytest.raises(TypeError):
-            InferenceContext(dtype=np.int32)
 
-    def test_parameter_views_are_immutable_casts(self):
+class TestDtype:
+    def test_tensors_and_layers_default_to_float64(self):
+        assert Tensor([1.0]).data.dtype == np.float64
         layer = Linear(4, 3, rng=np.random.default_rng(0))
-        base = layer.weight.data
-        with InferenceContext(dtype=np.float32):
-            view = layer.weight.data
-            assert view.dtype == np.float32
-            assert not view.flags.writeable
-            with pytest.raises(ValueError):
-                view[0, 0] = 1.0
-            assert layer.weight.data is view     # memoized per context dtype
-        assert layer.weight.data is base         # stored array never touched
+        with no_grad():
+            out = layer(Tensor(np.ones((2, 4), dtype=np.float32)))
+        assert layer.weight.data.dtype == np.float64
+        assert out.data.dtype == np.float64
 
-    def test_set_default_dtype_warns_inside_serving_scope(self):
-        with serving_scope():
-            with pytest.warns(DeprecationWarning, match="serving context"):
-                previous = set_default_dtype(np.float64)
-        assert previous == np.float64
-        assert get_default_dtype() == np.float64
+    def test_ops_preserve_explicit_dtype(self):
+        a = Tensor(np.ones((2, 2)), dtype=np.float32)
+        assert (a + a).data.dtype == np.float32
+        assert a.index_select(np.array([0])).data.dtype == np.float32
+        assert a.scatter_add(np.array([0, 0]), 1).data.dtype == np.float32
 
 
 class TestIterativeBackward:

@@ -34,7 +34,7 @@ from repro.clang.ast_nodes import (
     VarDecl,
     WhileStmt,
 )
-from repro.clang.parser import ParseError
+from repro.clang.parser import MAX_DEPTH, ParseError
 
 
 def first_stmt(source):
@@ -318,3 +318,73 @@ class TestParserProperties:
     def test_call_argument_count(self, args):
         stmt = first_stmt(f"f({', '.join(args)});")
         assert len(stmt.args) == len(args)
+
+
+#: hostile nesting families: each maps n to a source nesting one construct
+#: n deep (the flat sum nests nothing, but folds a left-deep chain n long)
+DEEP_SOURCES = {
+    "parentheses": lambda n: "int k() { return " + "(" * n + "1" + ")" * n + "; }",
+    "braces": lambda n: "void k() { " + "{" * n + "}" * n + " }",
+    "if": lambda n: "void k(int x) { " + "if (x) " * n + "x = 1; }",
+    "else-if": lambda n: "void k(int x) { "
+                         + " else ".join(["if (x) x = 1;"] * n) + " }",
+    "for": lambda n: "void k(int x) { "
+                     + "for (int i = 0; i < 2; i++) " * n + "x += 1; }",
+    "chained assignment": lambda n: "void k(int x) { " + "x = " * n + "1; }",
+    "flat sum": lambda n: "int k(int x) { return "
+                          + " + ".join(["x"] * n) + "; }",
+    "comma": lambda n: "int k(int x) { return " + ", ".join(["x"] * n) + "; }",
+    "unary": lambda n: "int k(int x) { return " + "- " * n + "x; }",
+    "cast": lambda n: "int k(int x) { return " + "(int) " * n + "x; }",
+    "ternary": lambda n: "int k(int x) { return " + "x ? x : " * n + "x; }",
+    "subscript": lambda n: "int k(int *x) { return x" + "[0]" * n + "; }",
+    "initializer": lambda n: "void k() { int a[1] = "
+                             + "{" * n + "1" + "}" * n + "; }",
+}
+
+
+def parses(source):
+    try:
+        parse_source(source)
+    except ParseError:
+        return False
+    return True
+
+
+def deepest_accepted(family):
+    """The largest n whose *family* source still parses (binary search)."""
+    make = DEEP_SOURCES[family]
+    lo, hi = 1, 2 * MAX_DEPTH        # parses at lo, fails at hi
+    assert parses(make(lo)) and not parses(make(hi))
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parses(make(mid)) else (lo, mid)
+    return lo
+
+
+class TestNestingLimit:
+    """Over-deep sources get a located ParseError, never a RecursionError."""
+
+    @pytest.mark.parametrize("family", sorted(DEEP_SOURCES))
+    def test_past_the_limit_is_a_located_parse_error(self, family):
+        with pytest.raises(ParseError, match=r"nesting deeper than \d+ levels "
+                                             r"\(at line 1, column \d+"):
+            parse_source(DEEP_SOURCES[family](2 * MAX_DEPTH))
+
+    @pytest.mark.parametrize("family", sorted(DEEP_SOURCES))
+    def test_one_level_under_the_limit_parses(self, family):
+        deepest = deepest_accepted(family)
+        assert parse_source(DEEP_SOURCES[family](deepest)) is not None
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_source(DEEP_SOURCES[family](deepest + 1))
+
+    def test_limit_counts_chain_folds(self):
+        # a 500-term sum parses today and must keep parsing; twice that
+        # is an AST deeper than the limit even though the parser loops
+        assert parses(DEEP_SOURCES["flat sum"](500))
+        assert not parses(DEEP_SOURCES["flat sum"](1000))
+
+    def test_snippets_share_the_limit(self):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_snippet("x = " + "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH + ";")
+        assert parse_snippet("x = ((((1))));") is not None

@@ -1,8 +1,7 @@
 """GNN property suite: differential parity over random graph shapes.
 
 Sweeps the vectorized-vs-``forward_reference`` parity scenarios (forward,
-fused ``no_grad`` kernel and gradients), the float32-serving bound and the
-pooling-path scenarios from :mod:`repro.synth.harness`, and adds the
+fused ``no_grad`` kernel and gradients) and the pooling-path scenarios from :mod:`repro.synth.harness`, and adds the
 edge-layout LRU coverage the PR-2 cache still lacked: eviction *order*,
 recency updates on hit, and content addressing across array layouts.
 """
@@ -23,10 +22,6 @@ class TestCorpusSweeps:
 
     def test_gnn_gradient_parity_corpus(self):
         report = run_cases("gnn-gradient-parity")
-        assert report.ok and report.cases >= 2
-
-    def test_float32_serving_bounds_corpus(self):
-        report = run_cases("float32-serving-bounds")
         assert report.ok and report.cases >= 2
 
     def test_pooling_paths_corpus(self):

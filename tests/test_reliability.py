@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.clang.lexer import LexError, Token, TokenKind
-from repro.clang.parser import ParseError
+from repro.clang.parser import MAX_DEPTH, ParseError, parse_source
 from repro.reliability import (
     CircuitBreaker,
     CircuitOpenError,
@@ -52,6 +52,19 @@ from repro.synth.harness import _tiny_serving_stack
 def _parse_error(message: str = "syntax error") -> ParseError:
     """A deterministic user-content error (needs a token for its location)."""
     return ParseError(message, Token(TokenKind.PUNCTUATOR, "{", 1, 1))
+
+
+def _deepest_parsing(make) -> int:
+    """The largest n whose source ``make(n)`` still parses."""
+    lo, hi = 1, 2 * MAX_DEPTH
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        try:
+            parse_source(make(mid))
+            lo = mid
+        except ParseError:
+            hi = mid
+    return lo
 
 
 @pytest.fixture(scope="module")
@@ -401,9 +414,9 @@ class TestServerDeadlines:
     def test_generous_deadline_serves_bit_identically(self, warm_stack):
         session, platform, sources = warm_stack
         server = Server(session, ServerConfig(num_workers=0))
-        reference = server.predict_batch(sources, platform, dtype=None)
+        reference = server.predict_batch(sources, platform)
         with Server(session, ServerConfig(num_workers=2)) as pooled:
-            result = pooled.predict_batch(sources, platform, dtype=None,
+            result = pooled.predict_batch(sources, platform,
                                           deadline_s=30.0)
         np.testing.assert_array_equal(result, reference)
 
@@ -444,14 +457,14 @@ class TestServerRetries:
             self, warm_stack):
         session, platform, sources = warm_stack
         clean = Server(session, ServerConfig(num_workers=0))
-        reference = clean.predict_batch(sources[:1], platform, dtype=None)
+        reference = clean.predict_batch(sources[:1], platform)
         plan = FaultPlan(11, [FaultSpec(SITE_FORWARD, "raise", 1.0,
                                         max_fires=2)])
         config = ServerConfig(num_workers=0, max_retries=3,
                               retry_backoff_s=0.0)
         with inject_faults(plan) as injector:
             server = Server(session, config)
-            result = server.predict_batch(sources[:1], platform, dtype=None)
+            result = server.predict_batch(sources[:1], platform)
         np.testing.assert_array_equal(result, reference)
         assert injector.fired(SITE_FORWARD) == 2
         stats = server.stats()
@@ -533,20 +546,45 @@ class TestServerBreaker:
     @pytest.mark.parametrize("num_workers", [0, 1])
     def test_input_errors_do_not_trip_the_breaker(self, warm_stack,
                                                   num_workers):
-        # one client's malformed source fails that request alone; it says
-        # nothing about the shard, so it must not open the breaker for
-        # every other client (default threshold, inline and pooled)
+        # one client's malformed or over-deep source fails that request
+        # alone; it says nothing about the shard, so it must not open the
+        # breaker for every other client (default threshold, inline and
+        # pooled)
         session, platform, sources = warm_stack
-        bad = ["void broken( {", "void k(int n) { n = n @ 2; }"]
+        bad = ["void broken( {", "void k(int n) { n = n @ 2; }",
+               "int k() { return " + "(" * 200 + "1" + ")" * 200 + "; }",
+               "void k() { " + "{" * 1000 + "}" * 1000 + " }",
+               "void k(int x) { " + "x = " * 1000 + "1; }",
+               "int k(int x) { return " + " + ".join(["x"] * 1000) + "; }"]
         with Server(session, ServerConfig(num_workers=num_workers)) as server:
             rejected = 2 * server.config.breaker_threshold
             for index in range(rejected):
                 with pytest.raises((ParseError, LexError)):
-                    server.predict(bad[index % 2], platform)
+                    server.predict(bad[index % len(bad)], platform)
             assert server.stats().breakers_open == 0
             assert server.healthz()["status"] == "ok"
             assert np.isfinite(server.predict(sources[0], platform))
             assert server.stats().failures == rejected
+
+    @pytest.mark.parametrize("num_workers", [0, 1])
+    def test_deepest_accepted_sources_predict(self, warm_stack, num_workers):
+        # one level under the parser's nesting limit the whole pipeline
+        # (analysis, ParaGraph build, encode, forward) still has stack to
+        # spare; one level over it is a ParseError like any bad input
+        session, platform, _ = warm_stack
+        families = [
+            lambda n: "int k() { return " + "(" * n + "1" + ")" * n + "; }",
+            lambda n: "void k() { " + "{" * n + "}" * n + " }",
+            lambda n: "void k(int x) { " + "x = " * n + "1; }",
+            lambda n: "int k(int x) { return "
+                      + " + ".join(["x"] * n) + "; }"]
+        with Server(session, ServerConfig(num_workers=num_workers)) as server:
+            for make in families:
+                deepest = _deepest_parsing(make)
+                assert np.isfinite(server.predict(make(deepest), platform))
+                with pytest.raises(ParseError):
+                    server.predict(make(deepest + 1), platform)
+            assert server.healthz()["status"] == "ok"
 
 
 class TestObservability:
@@ -564,17 +602,11 @@ class TestObservability:
         assert health["error_rate"] == 0.0
         assert health["retry_budget_tokens"] == server.config.retry_budget
         assert health["warm_started"] is True
-
-    def test_healthz_with_mixed_dtype_shards(self, warm_stack):
-        # float64 shards have dtype=None in their ShardKey: healthz must
-        # still render per-shard breaker states without a sort TypeError
-        session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0))
-        server.predict(sources[0], platform, dtype=None)
-        server.predict(sources[0], platform, dtype=np.float32)
-        health = server.healthz()
-        assert len(health["breakers"]) == 2
-        assert all(state == "closed" for state in health["breakers"].values())
+        # one breaker per (platform, parse mode) shard
+        server.predict("int x = 0; for (int i = 0; i < 8; i++) { x += i; }",
+                       platform, snippet=True)
+        assert server.healthz()["breakers"] == {
+            "NVIDIA V100[full]": "closed", "NVIDIA V100[snippet]": "closed"}
 
     def test_healthz_reports_closed(self, warm_stack):
         session, platform, _ = warm_stack

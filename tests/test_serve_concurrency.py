@@ -3,11 +3,10 @@
 The acceptance property of the re-entrant engine refactor: N threads
 hammering ``predict_batch`` on one shared :class:`repro.serve.Server` —
 with **no external lock** — produce float64 predictions bit-identical to
-the single-threaded reference, even while other threads serve float32
-from the same model.  Plus the micro-batching behaviour (single submits
-coalesce, poisoned requests don't fail their batch neighbours), the
-lifecycle (drain/close), and the satellite fixes: empty-batch dtype,
-cache ``reset_stats``, and the ``set_default_dtype`` serving deprecation.
+the single-threaded reference.  Plus the micro-batching behaviour (single
+submits coalesce, poisoned requests don't fail their batch neighbours),
+the lifecycle (drain/close), and the satellite fixes: empty-batch dtype
+and cache ``reset_stats``.
 """
 
 import threading
@@ -53,30 +52,25 @@ def requests():
 @pytest.fixture(scope="module")
 def reference(session, requests):
     """Single-threaded references, computed before any worker pool exists."""
-    return {
-        "float64": session.predict_batch(requests, PLATFORM, dtype=None),
-        "float32": session.predict_batch(requests, PLATFORM, dtype=np.float32),
-    }
+    return session.predict_batch(requests, PLATFORM)
 
 
 class TestConcurrentPredictBatch:
     def test_threads_match_single_thread_reference_bit_for_bit(
             self, session, requests, reference):
-        """≥4 worker threads, ≥6 client threads, mixed dtypes, no lock."""
+        """≥4 worker threads, ≥6 client threads, no lock."""
         errors = []
         config = ServerConfig(num_workers=4, max_batch_size=8,
                               batch_window_s=0.001)
         with Server(session, config) as server:
             def hammer(index: int) -> None:
                 try:
-                    dtype = None if index % 2 == 0 else np.float32
-                    expected = reference["float64" if dtype is None else "float32"]
                     for _ in range(3):
-                        got = server.predict_batch(requests, PLATFORM, dtype=dtype)
-                        if not np.array_equal(got, expected):
+                        got = server.predict_batch(requests, PLATFORM)
+                        if not np.array_equal(got, reference):
                             errors.append(
-                                f"thread {index} (dtype={dtype}): max diff "
-                                f"{np.abs(got - expected).max():g}")
+                                f"thread {index}: max diff "
+                                f"{np.abs(got - reference).max():g}")
                 except Exception as error:  # noqa: BLE001 - reported below
                     errors.append(f"thread {index}: {type(error).__name__}: {error}")
 
@@ -92,15 +86,14 @@ class TestConcurrentPredictBatch:
             self, session, requests, reference):
         with Server(session, ServerConfig(num_workers=2)) as server:
             np.testing.assert_array_equal(
-                server.predict_batch(requests, PLATFORM, dtype=None),
-                reference["float64"])
+                server.predict_batch(requests, PLATFORM),
+                reference)
 
     def test_single_worker_matches_too(self, session, requests, reference):
-        # the default serving dtype is float64: bit-identical to the reference
         with Server(session, ServerConfig(num_workers=1)) as server:
             np.testing.assert_array_equal(
                 server.predict_batch(requests, PLATFORM),
-                reference["float64"])
+                reference)
 
 
 class TestMicroBatching:
@@ -108,22 +101,22 @@ class TestMicroBatching:
         config = ServerConfig(num_workers=1, max_batch_size=16,
                               batch_window_s=0.05)
         with Server(session, config) as server:
-            futures = [server.submit(spec, PLATFORM, dtype=None)
+            futures = [server.submit(spec, PLATFORM)
                        for spec in requests]
             values = np.array([future.result() for future in futures])
             stats = server.stats()
         # the packed forward keeps every BLAS call at solo shapes, so a
         # coalesced single is bit-identical to its solo run — whatever
         # micro-batch composition the scheduler happened to form
-        np.testing.assert_array_equal(values, reference["float64"])
+        np.testing.assert_array_equal(values, reference)
         assert stats.singles_submitted == len(requests)
         assert stats.max_coalesced >= 2, "no micro-batch was ever formed"
         assert stats.batches_executed < stats.singles_submitted
 
     def test_predict_routes_through_queue(self, session, requests, reference):
         with Server(session, ServerConfig(num_workers=2)) as server:
-            value = server.predict(requests[0], PLATFORM, dtype=None)
-        np.testing.assert_allclose(value, reference["float64"][0],
+            value = server.predict(requests[0], PLATFORM)
+        np.testing.assert_allclose(value, reference[0],
                                    rtol=1e-9, atol=1e-9)
 
     def test_poisoned_request_does_not_fail_batch_neighbours(
@@ -138,19 +131,6 @@ class TestMicroBatching:
             with pytest.raises(Exception):
                 bad.result(timeout=30)
 
-    def test_mixed_dtype_singles_stay_in_their_shards(
-            self, session, requests, reference):
-        config = ServerConfig(num_workers=2, max_batch_size=8,
-                              batch_window_s=0.02)
-        with Server(session, config) as server:
-            futures = [(index, server.submit(
-                spec, PLATFORM, dtype=None if index % 2 else np.float32))
-                for index, spec in enumerate(requests)]
-            for index, future in futures:
-                expected = reference["float64" if index % 2 else "float32"][index]
-                np.testing.assert_allclose(future.result(timeout=30), expected,
-                                           rtol=1e-5, atol=1e-5)
-
 
 class TestBatcherPolicy:
     """Queue-level scheduling properties (no model needed)."""
@@ -159,7 +139,7 @@ class TestBatcherPolicy:
         from repro.serve import MicroBatcher, ShardKey
 
         batcher = MicroBatcher(max_batch_size=4, batch_window_s=0.0)
-        key = ShardKey("platform", False, None)
+        key = ShardKey("platform", False)
         batcher.enqueue_single(key, "single")
         for _ in range(3):
             batcher.enqueue_job(key, ["job"])
@@ -175,7 +155,7 @@ class TestBatcherPolicy:
         from repro.serve import MicroBatcher, ShardKey
 
         batcher = MicroBatcher(max_batch_size=4, batch_window_s=60.0)
-        key = ShardKey("platform", False, None)
+        key = ShardKey("platform", False)
         batcher.enqueue_single(key, "single")
         batcher.enqueue_job(key, ["job"])
         item = batcher.next_batch()      # job runs while the single coalesces
@@ -186,8 +166,8 @@ class TestBatcherPolicy:
         from repro.serve import MicroBatcher, ShardKey
 
         batcher = MicroBatcher(max_batch_size=4, batch_window_s=60.0)
-        first = ShardKey("first", False, None)
-        second = ShardKey("second", False, None)
+        first = ShardKey("first", False)
+        second = ShardKey("second", False)
         batcher.enqueue_job(first, ["f1"])
         batcher.enqueue_job(first, ["f2"])
         batcher.enqueue_job(second, ["s1"])
@@ -298,7 +278,7 @@ class TestWedgedWorkerTimeouts:
         from repro.serve import MicroBatcher, ShardKey
 
         batcher = MicroBatcher(max_batch_size=4, batch_window_s=0.0)
-        key = ShardKey("platform", False, None)
+        key = ShardKey("platform", False)
         batcher.enqueue_single(key, "stuck")
         item = batcher.next_batch()        # a "worker" takes the item ...
         assert item is not None            # ... and never calls task_done()
@@ -341,14 +321,14 @@ class TestPoisonedBatchRetryPath:
         config = ServerConfig(num_workers=1, max_batch_size=8,
                               batch_window_s=0.05)
         with Server(session, config) as server:
-            good = [server.submit(spec, PLATFORM, dtype=None)
+            good = [server.submit(spec, PLATFORM)
                     for spec in requests[:3]]
-            bad = server.submit("this is } not C {", PLATFORM, dtype=None)
+            bad = server.submit("this is } not C {", PLATFORM)
             # coalesced singles match to BLAS rounding (bit-identity is the
             # predict_batch job contract, not the coalescing one)
             for index, future in enumerate(good):
                 np.testing.assert_allclose(future.result(timeout=30),
-                                           reference["float64"][index],
+                                           reference[index],
                                            rtol=1e-12)
             with pytest.raises(ParseError):
                 bad.result(timeout=30)
@@ -371,11 +351,11 @@ class TestPoisonedBatchRetryPath:
                               retry_backoff_s=0.0)
         with inject_faults(plan):
             with Server(session, config) as server:
-                futures = [server.submit(spec, PLATFORM, dtype=None)
+                futures = [server.submit(spec, PLATFORM)
                            for spec in requests[:3]]
                 for index, future in enumerate(futures):
                     np.testing.assert_allclose(future.result(timeout=30),
-                                               reference["float64"][index],
+                                               reference[index],
                                                rtol=1e-12)
                 assert server.stats().retries >= 1
                 assert server.stats().failures == 0
@@ -389,19 +369,19 @@ class TestPackedForward:
         legacy = Server(session, ServerConfig(packed_forward=False))
         packed = Server(session, ServerConfig())        # packed is the default
         per_graph = np.concatenate(
-            [legacy.predict_batch([spec], PLATFORM, dtype=None)
+            [legacy.predict_batch([spec], PLATFORM)
              for spec in requests])
         np.testing.assert_array_equal(
-            packed.predict_batch(requests, PLATFORM, dtype=None), per_graph,
+            packed.predict_batch(requests, PLATFORM), per_graph,
             err_msg="packed forward diverged from the per-graph loop")
 
     def test_packed_forward_can_be_disabled(self, session, requests, reference):
         with Server(session, ServerConfig(num_workers=1,
                                           packed_forward=False)) as server:
-            got = server.predict_batch(requests, PLATFORM, dtype=None)
+            got = server.predict_batch(requests, PLATFORM)
         # the legacy collated loop matches only to BLAS rounding: batch
         # composition changes the GEMM shapes there
-        np.testing.assert_allclose(got, reference["float64"], rtol=1e-9)
+        np.testing.assert_allclose(got, reference, rtol=1e-9)
 
     def test_packed_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_PACKED", "0")
@@ -474,7 +454,7 @@ class TestExpiredRequestInPackedBatch:
         from repro.serve import MicroBatcher, ShardKey
 
         batcher = MicroBatcher(max_batch_size=8, batch_window_s=0.0)
-        key = ShardKey("platform", False, None)
+        key = ShardKey("platform", False)
         expired = batcher.enqueue_single(key, "expired",
                                          deadline=time.monotonic() - 1.0)
         live = [batcher.enqueue_single(key, f"live-{i}") for i in range(3)]
@@ -494,13 +474,13 @@ class TestExpiredRequestInPackedBatch:
         config = ServerConfig(num_workers=1, max_batch_size=8,
                               batch_window_s=0.1)
         with Server(session, config) as server:
-            expired = server.submit(requests[0], PLATFORM, dtype=None,
+            expired = server.submit(requests[0], PLATFORM,
                                     deadline_s=0.0)
-            live = [server.submit(spec, PLATFORM, dtype=None)
+            live = [server.submit(spec, PLATFORM)
                     for spec in requests[1:4]]
             for index, future in enumerate(live, start=1):
                 np.testing.assert_array_equal(future.result(timeout=30),
-                                              reference["float64"][index])
+                                              reference[index])
             with pytest.raises(DeadlineExceeded):
                 expired.result(timeout=10.0)
             stats = server.stats()
@@ -509,17 +489,11 @@ class TestExpiredRequestInPackedBatch:
 
 
 class TestSessionFacadeSatellites:
-    def test_empty_batch_honors_serving_dtype(self, session):
+    def test_empty_batch_is_float64(self, session):
         assert session.predict_batch([], PLATFORM).dtype == np.float64
         assert session.predict_batch([], PLATFORM).shape == (0,)
-        assert session.predict_batch([], PLATFORM,
-                                     dtype=np.float32).dtype == np.float32
-        assert session.predict_batch([], PLATFORM,
-                                     dtype=np.float64).dtype == np.float64
         with Server(session, ServerConfig()) as server:
             assert server.predict_batch([], PLATFORM).dtype == np.float64
-            assert server.predict_batch(
-                [], PLATFORM, dtype=np.float32).dtype == np.float32
 
     def test_cache_reset_stats_keeps_entries(self, session, requests):
         session.clear_cache()
@@ -550,8 +524,8 @@ class TestSessionFacadeSatellites:
         session = Session(tiny_config(),
                           serve_config=ServerConfig(num_workers=2))
         try:
-            got = session.predict_batch(requests, PLATFORM, dtype=None)
-            np.testing.assert_array_equal(got, reference["float64"])
+            got = session.predict_batch(requests, PLATFORM)
+            np.testing.assert_array_equal(got, reference)
             assert session.server().config.num_workers == 2
         finally:
             session.close()
@@ -563,10 +537,3 @@ class TestSessionFacadeSatellites:
             assert session.server().config.num_workers == 3
         finally:
             session.close()
-
-    def test_set_default_dtype_deprecated_inside_serving_context(self):
-        from repro.nn import serving_scope, set_default_dtype
-
-        with serving_scope():
-            with pytest.warns(DeprecationWarning, match="serving context"):
-                set_default_dtype(np.float64)

@@ -1,7 +1,7 @@
 """Tests for ``repro.store``: artifacts, checkpointing, warm-start serving.
 
 The acceptance property of the artifact store: a session loaded from an
-artifact serves float64 (``dtype=None``) predictions **bit-identical** to
+artifact serves float64 predictions **bit-identical** to
 the session that wrote it — including through a multi-worker
 :class:`repro.serve.Server` — with zero retraining.  Plus the layer
 plumbing the store rides on (``Module`` buffers + dtype-preserving
@@ -29,7 +29,7 @@ from repro.ml.scaler import (
 )
 from repro.ml.trainer import TrainingConfig
 from repro.nn.layers import Linear
-from repro.nn.module import Module, parameters_as
+from repro.nn.module import Module
 from repro.paragraph.vocab import Vocabulary, default_vocabulary
 from repro.pipeline import SweepConfig
 from repro.serve import Server, ServerConfig
@@ -232,12 +232,6 @@ class TestModuleStateDict:
             layer.load_state_dict(bad)
         np.testing.assert_array_equal(layer.weight.data, before["weight"])
 
-    def test_state_dict_ignores_serving_dtype_overlay(self):
-        layer = Linear(3, 2, rng=np.random.default_rng(0))
-        with parameters_as(layer, np.float32):
-            state = layer.state_dict()
-        assert state["weight"].dtype == np.float64
-
     def test_name_cannot_be_both_buffer_and_parameter(self):
         from repro.nn.module import Parameter
 
@@ -359,32 +353,20 @@ class TestSerializationPlumbing:
 class TestWarmStartServing:
     def test_load_is_bit_identical_through_multiworker_server(
             self, trained_session, artifact):
-        reference = trained_session.predict_batch(SOURCES, PLATFORM,
-                                                  dtype=None)
+        reference = trained_session.predict_batch(SOURCES, PLATFORM)
         loaded = Session.load(artifact)
         try:
             assert loaded.warm_started
             # straight through the facade...
             np.testing.assert_array_equal(
-                loaded.predict_batch(SOURCES, PLATFORM, dtype=None),
+                loaded.predict_batch(SOURCES, PLATFORM),
                 reference)
             # ...and through a real multi-worker server
             with Server(loaded, ServerConfig(num_workers=2)) as server:
                 np.testing.assert_array_equal(
-                    server.predict_batch(SOURCES, PLATFORM, dtype=None),
+                    server.predict_batch(SOURCES, PLATFORM),
                     reference)
                 assert server.stats().warm_started
-        finally:
-            loaded.close()
-
-    def test_float32_serving_stays_in_tolerance(self, trained_session,
-                                                artifact):
-        reference = trained_session.predict_batch(SOURCES, PLATFORM,
-                                                  dtype=None)
-        loaded = Session.load(artifact)
-        try:
-            served = loaded.predict_batch(SOURCES, PLATFORM, dtype=np.float32)
-            np.testing.assert_allclose(served, reference, rtol=1e-3)
         finally:
             loaded.close()
 
@@ -446,12 +428,11 @@ class TestWarmStartServing:
             loaded.close()
 
     def test_server_from_artifact(self, trained_session, artifact):
-        reference = trained_session.predict_batch(SOURCES, PLATFORM,
-                                                  dtype=None)
+        reference = trained_session.predict_batch(SOURCES, PLATFORM)
         with Server.from_artifact(artifact,
                                   ServerConfig(num_workers=1)) as server:
             np.testing.assert_array_equal(
-                server.predict_batch(SOURCES, PLATFORM, dtype=None),
+                server.predict_batch(SOURCES, PLATFORM),
                 reference)
             assert server.stats().warm_started
             server.session.close()
@@ -674,13 +655,12 @@ class TestModelRegistry:
                                                 tmp_path):
         registry = ModelRegistry(str(tmp_path / "registry"))
         ref = registry.publish("paragraph", trained_session)
-        reference = trained_session.predict_batch(SOURCES, PLATFORM,
-                                                  dtype=None)
+        reference = trained_session.predict_batch(SOURCES, PLATFORM)
         loaded = registry.load(ref)
         try:
             assert loaded.warm_started
             np.testing.assert_array_equal(
-                loaded.predict_batch(SOURCES, PLATFORM, dtype=None),
+                loaded.predict_batch(SOURCES, PLATFORM),
                 reference)
         finally:
             loaded.close()
@@ -786,8 +766,7 @@ class TestRegistryFallback:
         registry = ModelRegistry(str(tmp_path / "registry"))
         registry.publish("paragraph", trained_session)    # v1 (good)
         registry.publish("paragraph", trained_session)    # v2 (latest)
-        reference = trained_session.predict_batch(SOURCES, PLATFORM,
-                                                  dtype=None)
+        reference = trained_session.predict_batch(SOURCES, PLATFORM)
         return registry, reference
 
     def test_latest_falls_back_to_previous_good_version(self, two_versions):
@@ -797,7 +776,7 @@ class TestRegistryFallback:
             loaded = registry.load("paragraph")
         try:
             np.testing.assert_array_equal(
-                loaded.predict_batch(SOURCES, PLATFORM, dtype=None),
+                loaded.predict_batch(SOURCES, PLATFORM),
                 reference)
         finally:
             loaded.close()
@@ -817,7 +796,7 @@ class TestRegistryFallback:
             loaded = registry.load("paragraph@v2")
         try:
             np.testing.assert_array_equal(
-                loaded.predict_batch(SOURCES, PLATFORM, dtype=None),
+                loaded.predict_batch(SOURCES, PLATFORM),
                 reference)
         finally:
             loaded.close()
