@@ -68,8 +68,7 @@ def test_obs_overhead_scopes_on_vs_off():
     """The 5% gate: fully-enabled recording vs no scopes, interleaved."""
     session = make_trained_session()
     requests = build_corpus(CORPUS_SIZE, seed=2028).sources()
-    server = Server(session, ServerConfig(
-        num_workers=0, max_retries=0, breaker_threshold=0))
+    server = Server(session, ServerConfig(max_retries=0, breaker_threshold=0))
     expected = server.predict_batch(requests, PLATFORM)
 
     def wave() -> tuple:

@@ -22,8 +22,8 @@ et al.), including every substrate the paper depends on:
 * ``repro.reliability`` -- the failure model: seeded fault injection,
   deadline/retry/backoff semantics, per-shard circuit breakers and the
   typed error taxonomy the serving + store stack degrades through,
-* ``repro.serve`` -- the concurrent micro-batching serving runtime
-  (worker pool, per-platform sharding, re-entrant inference contexts),
+* ``repro.serve`` -- the caller-runs serving runtime (per-platform
+  shards, leader combining into packed batches, re-entrant inference),
 * ``repro.store`` -- the model artifact store: versioned, checksummed
   manifests + weight payloads, ``Session.save``/``Session.load``
   zero-retrain warm starts, a ``name@version`` model registry and the

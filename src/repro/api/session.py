@@ -22,9 +22,9 @@ parsed, built and encoded once, and only its ``Child``-edge weights and
 aux features are recomputed per context.
 
 The facade itself is a thin client of :class:`repro.serve.Server`: every
-``predict`` / ``predict_batch`` call routes through an embedded server
-(inline by default; ``REPRO_SERVE_WORKERS`` or an explicit
-:class:`~repro.serve.ServerConfig` turn on the worker pool).  All session
+``predict`` / ``predict_batch`` call routes through an embedded server,
+which executes on the calling thread (configured by the ``REPRO_SERVE_*``
+variables or an explicit :class:`~repro.serve.ServerConfig`).  All session
 state a request touches — the graph-construction cache, the lazily trained
 models, the engine's no-grad switch — is lock-protected or
 context-local, so concurrent callers need no external synchronization; see
@@ -75,10 +75,10 @@ class CacheInfo(NamedTuple):
 class _GraphCache:
     """A small LRU cache from source-spec keys to encoded graphs.
 
-    Lock-protected: one instance is shared by every :class:`repro.serve`
-    worker thread, so lookups, inserts, eviction and the hit/miss counters
-    all mutate under the lock and :meth:`info` returns one coherent
-    snapshot instead of counters read at different instants.
+    Lock-protected: one instance is shared by every thread serving through
+    :class:`repro.serve`, so lookups, inserts, eviction and the hit/miss
+    counters all mutate under the lock and :meth:`info` returns one
+    coherent snapshot instead of counters read at different instants.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -138,7 +138,7 @@ class Session:
     Dataset building and training are lazy and memoized: the first call to
     :meth:`train` / :meth:`workflow` / :meth:`predict_batch` pays for them,
     later calls reuse the results.  Memoization is lock-protected, so
-    concurrent first callers (e.g. serving workers) train exactly once.
+    concurrent first callers (e.g. serving threads) train exactly once.
 
     Parameters
     ----------
@@ -150,8 +150,8 @@ class Session:
     serve_config:
         Configuration of the embedded :class:`repro.serve.Server` the
         predict facade routes through.  Defaults to
-        :meth:`~repro.serve.ServerConfig.from_env` — inline execution
-        unless ``REPRO_SERVE_WORKERS`` asks for a worker pool.
+        :meth:`~repro.serve.ServerConfig.from_env`; the server runs every
+        request on its caller's thread either way.
     """
 
     def __init__(self, config: Optional[ReproConfig] = None,
@@ -295,11 +295,11 @@ class Session:
     def server(self) -> Server:
         """The embedded :class:`repro.serve.Server` the facade serves through.
 
-        Created lazily (once) from ``serve_config`` — inline execution by
-        default, a worker pool when ``REPRO_SERVE_WORKERS`` (or an explicit
-        config) asks for one.  For a standalone runtime with its own knobs,
-        construct ``repro.serve.Server(session, ServerConfig(...))``
-        directly; any number of servers can share one session.
+        Created lazily (once) from ``serve_config``; it starts no threads
+        and executes on its callers' threads.  For a standalone runtime
+        with its own knobs, construct
+        ``repro.serve.Server(session, ServerConfig(...))`` directly; any
+        number of servers can share one session.
         """
         with self._server_lock:
             if self._server is None:
@@ -413,7 +413,8 @@ class Session:
         self._cache.reset_stats()
 
     def close(self) -> None:
-        """Shut down the embedded server's worker pool, if one was started."""
+        """Close the embedded server, if one was created: it stops
+        admitting work and the next :meth:`server` call makes a fresh one."""
         with self._server_lock:
             if self._server is not None:
                 self._server.close()

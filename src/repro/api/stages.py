@@ -24,7 +24,6 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..clang import analyze, parse_snippet, parse_source
 from ..clang.semantics import ConstantEnvironment
-from ..ml.dataset import GraphDataset
 from ..ml.split import train_val_split
 from ..ml.trainer import Trainer
 from ..paragraph.builder import build_paragraph
@@ -256,28 +255,16 @@ class TrainStage(Stage):
 class PredictStage(Stage):
     """``encoded`` + ``trainer`` → ``predictions`` (runtimes in µs).
 
-    The forward runs on the no-autodiff fast path in float64, bit-identical
-    to training-time evaluation — see
-    :meth:`repro.ml.trainer.Trainer.predict`.
-
-    *packed* routes the whole request list through one block-diagonal
-    packed forward (:meth:`repro.ml.trainer.Trainer.predict_packed`) —
-    the serving configuration — instead of the per-batch dataset loop.
-    Trainers (or registered models) without a packed kernel transparently
-    fall back to the loop either way.
+    The whole request list runs through one block-diagonal packed forward
+    (:meth:`repro.ml.trainer.Trainer.predict_packed`) on the no-autodiff
+    fast path in float64, bit-identical to predicting each graph alone.
+    Models without a packed kernel fall back to the per-batch dataset
+    loop inside ``predict_packed``.
     """
 
     requires = ("encoded", "trainer")
     provides = ("predictions",)
 
-    def __init__(self, packed: bool = False) -> None:
-        self.packed = packed
-
     def run(self, context) -> None:
-        trainer = context["trainer"]
-        encoded = list(context["encoded"])
-        if self.packed and hasattr(trainer, "predict_packed"):
-            context["predictions"] = trainer.predict_packed(encoded)
-            return
-        dataset = GraphDataset(encoded, name="predict")
-        context["predictions"] = trainer.predict(dataset)
+        context["predictions"] = context["trainer"].predict_packed(
+            list(context["encoded"]))

@@ -1,8 +1,8 @@
 """Block-diagonal packing: many graphs, one fused multi-graph forward.
 
 The serving hot path used to run one GNN forward per graph even after the
-micro-batcher coalesced requests, so coalescing bought nothing.  Packing
-turns a whole micro-batch into a single block-diagonal graph: node features
+server coalesced requests, so coalescing bought nothing.  Packing turns a
+whole batch into a single block-diagonal graph: node features
 concatenate, edge indices shift by per-graph node offsets, and the cached
 per-graph :class:`~repro.gnn.edge_layout.RelationalEdgeLayout` objects merge
 into one relation-bucketed layout in O(E) — no re-sort, no re-validation,

@@ -11,7 +11,7 @@ Examples::
 
 Both commands build a tiny warm-started serving stack in process
 (:func:`repro.synth.harness.tiny_serving_stack` — random weights, no
-training), drive real requests through a pooled
+training), drive real requests through a
 :class:`~repro.serve.Server` inside :func:`~repro.obs.metrics.metrics_scope`
 and :func:`~repro.obs.tracing.trace_requests` scopes, and print what the
 instrumentation recorded.  ``snapshot`` output is validated against the
@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="demo workload seed (default 0)")
     snapshot.add_argument("--requests", type=int, default=8,
                           help="demo requests to serve (default 8)")
-    snapshot.add_argument("--workers", type=int, default=2,
-                          help="server worker threads (default 2)")
     snapshot.add_argument("--indent", type=int, default=2,
                           help="JSON indent (default 2)")
 
@@ -55,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="serve demo traffic and print per-request span trees")
     trace.add_argument("--seed", type=int, default=0,
                        help="demo workload seed (default 0)")
-    trace.add_argument("--workers", type=int, default=2,
-                       help="server worker threads (default 2)")
     trace.add_argument("--json", action="store_true",
                        help="emit stable-schema trace JSON instead of the "
                             "text tree")
@@ -65,16 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _demo_stack(seed: int, workers: int):
+def _demo_stack(seed: int):
     """A warm-started (server, platform, sources) triple for demo traffic."""
     from ..serve import Server, ServerConfig
     from ..synth.harness import tiny_serving_stack
 
     session, platform, sources = tiny_serving_stack(seed)
-    server = Server(session, ServerConfig(num_workers=workers,
-                                          max_batch_size=4,
-                                          batch_window_s=0.001))
-    return server, platform, sources
+    return Server(session, ServerConfig(max_batch_size=4)), platform, sources
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
@@ -84,7 +77,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from .snapshot import SnapshotError, validate_snapshot
     from .tracing import trace_requests
 
-    server, platform, sources = _demo_stack(args.seed, args.workers)
+    server, platform, sources = _demo_stack(args.seed)
     try:
         with metrics_scope(), trace_requests():
             requests = [sources[index % len(sources)]
@@ -108,7 +101,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .tracing import trace_requests
 
-    server, platform, sources = _demo_stack(args.seed, args.workers)
+    server, platform, sources = _demo_stack(args.seed)
     try:
         with trace_requests() as collector:
             for source in sources:

@@ -13,7 +13,7 @@ Three instrument kinds live in a string-keyed registry (the same
 
 A :class:`MetricsRegistry` maps metric names to instruments with
 get-or-create semantics; every instrument is individually lock-protected,
-so serving workers and client threads record into one registry without
+so every serving thread records into one registry without
 external serialization.  The :class:`~repro.serve.Server` owns one
 registry per instance — its ``stats()`` / ``healthz()`` surfaces are thin
 views over it (see SERVING.md) — and :func:`repro.obs.snapshot` folds

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: schema of :func:`snapshot` — bump on any breaking shape change.
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 #: the six integer fields every cache entry must carry (plus hit_rate).
 _CACHE_FIELDS = ("hits", "misses", "evictions", "size", "capacity")

@@ -3,10 +3,12 @@
 A :class:`Span` is one timed operation; spans nest into a tree rooted in a
 :class:`Trace` — for the serving runtime, one trace per request::
 
-    serve.request                      (root: submit -> respond)
-      serve.submit                     admission on the caller's thread
-      serve.queue                      enqueue -> dequeue wait
-      serve.execute                    the worker-side batch execution
+    serve.request                      (root: submit -> settle)
+      serve.submit                     admission + enqueue
+      serve.queue                      enqueue -> taken (coalesced only)
+      serve.execute                    shared batch execution (coalesced
+                                       only; a lone request executes
+                                       directly under its root)
         serve.encode                   cached graph construction
         stage.predict                  the PredictStage forward
           engine.pack                  block-diagonal packing
@@ -19,8 +21,8 @@ single global read returning a shared no-op context manager until a
 current span travels in a :class:`contextvars.ContextVar`, so nested
 instrumentation (store reads, pipeline stages, the packed forward)
 attaches to whatever request is executing on that thread —
-:func:`activate_span` re-roots the contextvar when a worker picks up a
-queued request that began on another thread.
+:func:`activate_span` re-roots the contextvar when a lane's leader
+executes a batch holding requests that began on other threads.
 
 Export is stable-schema JSON (:data:`TRACE_SCHEMA_VERSION`, integer
 microsecond offsets, ``to_dict``/``from_dict`` fixpoint) plus a
@@ -511,8 +513,8 @@ def span(name: str, **attributes):
 def activate_span(target: Optional[Span]) -> Iterator[Optional[Span]]:
     """Make *target* the calling context's current span for the block.
 
-    The serving worker pool uses this to re-root tracing when it executes
-    a request that was submitted (and whose trace was begun) on another
+    A serving leader uses this to re-root tracing when it executes a
+    request that was submitted (and whose trace was begun) on another
     thread; ``None`` is accepted and is a no-op, so call sites need no
     tracing-enabled conditionals.
     """

@@ -10,8 +10,8 @@ package gives the reproduction a first-class, *testable* failure model:
   classifier :func:`is_transient`,
 * :mod:`~repro.reliability.faults` — seeded fault injection: a registry
   of fault kinds (``raise`` / ``delay`` / ``corrupt-payload``), hook
-  points threaded through the serve worker loop, micro-batcher
-  scheduling, the engine forward and the store read/write paths, and
+  points threaded through serving admission, the leader's batch
+  execution, the engine forward and the store read/write paths, and
   the :func:`inject_faults` scope whose decisions replay by seed,
 * :mod:`~repro.reliability.retry` — exponential backoff with jitter, a
   server-wide :class:`RetryBudget`, and the deadline-aware

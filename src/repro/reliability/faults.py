@@ -24,9 +24,8 @@ Fault *kinds* live in a string-keyed registry (the same
 Not every kind is legal at every site: ``corrupt-payload`` is only allowed
 where an integrity check sits downstream (the store's checksummed
 payloads) — corrupting a payload nothing re-verifies would *create* the
-silent-corruption failure mode this subsystem exists to exclude — and the
-scheduler hook is delay-only (a raise inside the scheduling loop would
-kill the worker, not a request).  :data:`SITES` is the capability table;
+silent-corruption failure mode this subsystem exists to exclude.
+:data:`SITES` is the capability table;
 :class:`FaultPlan` validates against it at construction time.
 """
 
@@ -50,7 +49,6 @@ __all__ = [
     "FaultSpec",
     "SITES",
     "SITE_FORWARD",
-    "SITE_SCHEDULE",
     "SITE_STORE_READ",
     "SITE_STORE_WRITE",
     "SITE_SUBMIT",
@@ -66,8 +64,7 @@ __all__ = [
 # hook-point sites and their legal fault kinds
 # ------------------------------------------------------------------ #
 SITE_SUBMIT = "serve.submit"          # request admission (caller's thread)
-SITE_SCHEDULE = "serve.schedule"      # micro-batcher scheduling (worker)
-SITE_WORKER = "serve.worker"          # worker loop, before batch execution
+SITE_WORKER = "serve.worker"          # a leader, before it executes a batch
 SITE_FORWARD = "engine.forward"       # the batched GNN forward
 SITE_STORE_READ = "store.read"        # artifact payload read
 SITE_STORE_WRITE = "store.write"      # artifact payload write
@@ -75,7 +72,6 @@ SITE_STORE_WRITE = "store.write"      # artifact payload write
 #: site → fault kinds that may legally fire there (see module docstring).
 SITES: Dict[str, Tuple[str, ...]] = {
     SITE_SUBMIT: ("raise", "delay"),
-    SITE_SCHEDULE: ("delay",),
     SITE_WORKER: ("raise", "delay"),
     SITE_FORWARD: ("raise", "delay"),
     SITE_STORE_READ: ("raise", "delay", "corrupt-payload"),
@@ -203,7 +199,7 @@ class FaultPlan:
 class FaultInjector:
     """The live state of one chaos scope: rng streams + fire accounting.
 
-    Thread-safe: serve workers and client threads hit the same injector
+    Thread-safe: every serving thread hits the same injector
     concurrently, so the rng draws and counters mutate under one lock.
     """
 

@@ -1,19 +1,22 @@
-"""The concurrent serving runtime: one model set, many client threads.
+"""The caller-runs serving runtime: one model set, many client threads.
 
 A :class:`Server` owns the trained per-platform models of one
-:class:`~repro.api.session.Session` and serves predictions from a pool of
-worker threads:
+:class:`~repro.api.session.Session` and serves predictions on the
+callers' own threads — it starts no threads of its own:
 
-* **sharding** — requests are grouped per (platform, parse mode) shard;
-  any worker may execute any shard's next micro-batch, so hot platforms
-  use the whole pool while each batch stays homogeneous,
-* **micro-batching** — single predictions submitted through
-  :meth:`Server.submit` / :meth:`Server.predict` coalesce into batches of
-  up to ``max_batch_size`` requests within a ``batch_window_s`` window
-  (the :mod:`repro.serve.batching` policy), amortising one GNN forward
-  over many callers — by default a **packed** block-diagonal forward
-  (:mod:`repro.gnn.packing`) whose float64 results are bit-identical to
-  solo predictions regardless of batch composition,
+* **sharding** — requests are grouped per (platform, parse mode) shard,
+  so each batch stays homogeneous,
+* **leader combining** — a caller enqueues its request on one of its
+  shard's two FIFO lanes (singles, jobs); when the batch at the head of
+  the lane holds its request and no other caller is running that lane,
+  it becomes the lane's leader and executes the batch (the
+  :mod:`repro.serve.batching` policy) as one **packed** block-diagonal
+  forward (:mod:`repro.gnn.packing`), whose float64 results are
+  bit-identical to solo predictions regardless of batch composition.
+  Single predictions submitted through :meth:`Server.submit` /
+  :meth:`Server.predict` while their lane is busy coalesce into the next
+  leader's batch of up to ``max_batch_size`` requests; a single never
+  waits behind a job,
 * **whole-job batches** — :meth:`Server.predict_batch` executes the
   caller's request list as one unit, preserving its batch composition so
   float64 results are bit-identical to a single-threaded run,
@@ -27,9 +30,10 @@ The runtime also implements the **failure model** of
 table in SERVING.md):
 
 * per-request **deadlines** — ``deadline_s`` on every entry point (or
-  ``default_deadline_s``); expired work is dropped at dequeue time and
-  callers get :class:`~repro.reliability.errors.DeadlineExceeded`, never
-  an unbounded wait,
+  ``default_deadline_s``); expired work is withdrawn from the queue before
+  it burns a forward, and callers get
+  :class:`~repro.reliability.errors.DeadlineExceeded`, never an unbounded
+  wait,
 * **retries** — transient execution failures (classified by
   :func:`~repro.reliability.errors.is_transient`) are retried with
   exponential backoff + jitter under a server-wide
@@ -37,16 +41,13 @@ table in SERVING.md):
   (e.g. parse errors) fail fast,
 * a per-shard **circuit breaker** — a persistently failing shard fails
   fast with :class:`~repro.reliability.errors.CircuitOpenError` instead
-  of consuming pool capacity,
+  of burning every caller's time,
 * **load shedding** — ``max_queue_depth`` bounds the backlog; beyond it
   submissions raise :class:`~repro.reliability.errors.ServerOverloaded`.
 
-With ``num_workers=0`` the server runs **inline**: no threads are started
-and every call executes synchronously on the caller's thread through the
-exact same execution path.  That is the default configuration the
-:class:`~repro.api.session.Session` facade embeds (override with the
-``REPRO_SERVE_*`` environment variables or an explicit
-:class:`ServerConfig`).
+The :class:`~repro.api.session.Session` facade embeds one server built
+from :meth:`ServerConfig.from_env` (override with the ``REPRO_SERVE_*``
+environment variables or an explicit :class:`ServerConfig`).
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-import weakref
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -84,34 +83,24 @@ from ..reliability.faults import (
     fault_point,
 )
 from ..reliability.retry import RetryBudget, RetryPolicy, call_with_retry
-from .batching import (
-    BatcherStats,
-    MicroBatcher,
-    SHUTDOWN_MESSAGE,
-    ShardKey,
-    WorkItem,
-)
+from .batching import Combiner, Request, SHUTDOWN_MESSAGE, ShardKey
 
 __all__ = ["Server", "ServerConfig", "ServerStats"]
 
 #: environment knobs the default configuration reads (see SERVING.md)
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
 MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
-WINDOW_MS_ENV = "REPRO_SERVE_WINDOW_MS"
 DEADLINE_MS_ENV = "REPRO_SERVE_DEADLINE_MS"
 MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
 MAX_RETRIES_ENV = "REPRO_SERVE_MAX_RETRIES"
 BREAKER_THRESHOLD_ENV = "REPRO_SERVE_BREAKER_THRESHOLD"
 BREAKER_RESET_MS_ENV = "REPRO_SERVE_BREAKER_RESET_MS"
-PACKED_ENV = "REPRO_SERVE_PACKED"
 
 #: frontend errors: the request's source text is bad, the shard is fine
 INPUT_ERRORS = (LexError, ParseError, PragmaError, SemanticError)
 
-#: extra slack predict()/predict_specs() grant a pooled future past its
-#: deadline before declaring the request lost — covers the scheduler drop
-#: propagating back without ever racing a healthy in-flight execution
-_RESULT_GRACE_S = 0.25
+#: why a caller gave up on a request another caller is still executing
+_ABANDONED = ("request deadline expired while another caller was executing "
+              "it (the result, if any, was abandoned)")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -136,45 +125,22 @@ def _env_float(name: str, default: float) -> float:
         raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
-_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
-                "0": False, "false": False, "no": False, "off": False}
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return _BOOL_VALUES[raw.lower()]
-    except KeyError:
-        raise ValueError(
-            f"{name} must be a boolean (1/0, true/false, yes/no, on/off), "
-            f"got {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class ServerConfig:
     """Knobs of the serving runtime.
 
     Parameters
     ----------
-    num_workers:
-        Size of the worker pool.  ``0`` (the default) runs inline on the
-        caller's thread — the embedded-in-``Session`` configuration; any
-        positive count starts that many daemon drain-loop threads.
     max_batch_size:
         Upper bound on how many coalesced single predictions share one GNN
         forward.
-    batch_window_s:
-        How long the oldest queued single prediction may wait for
-        companions before its micro-batch is closed anyway.
     default_deadline_s:
         Deadline applied to requests that pass ``deadline_s=None``.
         ``None`` (the default) keeps such requests unbounded.
     max_queue_depth:
-        Admission-control bound on pending queued requests (specs, summed
-        across shards); beyond it submissions raise ``ServerOverloaded``.
-        ``0`` (the default) is unbounded.
+        Admission-control bound on queued requests (specs, summed across
+        shards); beyond it submissions raise ``ServerOverloaded``.  ``0``
+        (the default) is unbounded.
     max_retries:
         Re-attempts per execution for *transient* failures (deterministic
         failures always fail fast).  ``0`` disables retrying.
@@ -192,17 +158,9 @@ class ServerConfig:
         count.
     breaker_reset_s:
         How long an open circuit waits before admitting a half-open trial.
-    packed_forward:
-        Execute every batch through the packed block-diagonal multi-graph
-        forward (``Trainer.predict_packed``) instead of the per-batch
-        dataset loop.  On (the default), float64 results stay bit-identical
-        to solo predictions for *every* batch composition; switch off to
-        serve through the legacy collated loop.
     """
 
-    num_workers: int = 0
     max_batch_size: int = 32
-    batch_window_s: float = 0.002
     default_deadline_s: Optional[float] = None
     max_queue_depth: int = 0
     max_retries: int = 2
@@ -210,15 +168,10 @@ class ServerConfig:
     retry_budget: float = 32.0
     breaker_threshold: int = 8
     breaker_reset_s: float = 5.0
-    packed_forward: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.default_deadline_s is not None and self.default_deadline_s < 0:
             raise ValueError("default_deadline_s must be >= 0 (or None)")
         if self.max_queue_depth < 0:
@@ -239,104 +192,46 @@ class ServerConfig:
         """Defaults, overridable through the ``REPRO_SERVE_*`` variables."""
         deadline_ms = _env_float(DEADLINE_MS_ENV, 0.0)
         return cls(
-            num_workers=_env_int(WORKERS_ENV, 0),
             max_batch_size=_env_int(MAX_BATCH_ENV, 32),
-            batch_window_s=_env_float(WINDOW_MS_ENV, 2.0) / 1000.0,
             default_deadline_s=deadline_ms / 1000.0 if deadline_ms > 0 else None,
             max_queue_depth=_env_int(MAX_QUEUE_ENV, 0),
             max_retries=_env_int(MAX_RETRIES_ENV, 2),
             breaker_threshold=_env_int(BREAKER_THRESHOLD_ENV, 8),
             breaker_reset_s=_env_float(BREAKER_RESET_MS_ENV, 5000.0) / 1000.0,
-            packed_forward=_env_bool(PACKED_ENV, True),
         )
 
 
-def _drain_loop(batcher: MicroBatcher, server_ref) -> None:
-    """Worker body: pull due micro-batches/jobs until shutdown.
-
-    Module-level on purpose: worker threads hold only the batcher and a
-    *weak* reference to the server, so an abandoned ``Server`` (and the
-    session's trained models behind it) stays collectable — its
-    ``weakref.finalize`` hook stops the batcher, which ends this loop.
-    """
-    while True:
-        item = batcher.next_batch()
-        if item is None:
-            return
-        server = server_ref()
-        try:
-            if server is None:
-                error = ServerClosedError(SHUTDOWN_MESSAGE)
-                for index, future in enumerate(item.futures):
-                    if index < len(item.traces):
-                        complete_trace(item.traces[index], error)
-                    future.set_exception(error)
-            else:
-                server._run_item(item)
-        finally:
-            del server        # never carry a strong ref across the next wait
-            batcher.task_done()
-
-
 class ServerStats(NamedTuple):
-    """A coherent snapshot of the runtime's accounting."""
+    """A snapshot of the runtime's accounting."""
 
-    num_workers: int
-    singles_submitted: int
-    jobs_submitted: int
-    batches_executed: int
-    requests_executed: int
-    max_coalesced: int
-    coalesced_total: int
-    peak_depth: int
+    singles_submitted: int       # requests entered through submit()
+    jobs_submitted: int          # explicit predict_batch jobs
+    batches_executed: int        # batches leaders took from the queue
+    requests_executed: int       # specs that reached a forward
+    max_coalesced: int           # largest batch of singles formed
+    coalesced_total: int         # singles that travelled in batches
+    peak_depth: int              # max queued specs observed
     #: True when the session's model set was warm-started from a
     #: ``repro.store`` artifact instead of trained in-process.
     warm_started: bool = False
     shed: int = 0                # requests refused by admission control
-    deadline_expired: int = 0    # requests dropped on an expired deadline
+    deadline_expired: int = 0    # specs dropped on an expired deadline
     failures: int = 0            # requests that returned an error
     retries: int = 0             # transient re-attempts performed
     breaker_rejections: int = 0  # requests refused by an open circuit
     breakers_open: int = 0       # shards currently failing fast
-    queue_depth: int = 0         # pending work items at snapshot time
-
-    @classmethod
-    def of(cls, num_workers: int, stats: BatcherStats,
-           warm_started: bool = False, *, deadline_dropped: int = 0,
-           inline_executed: int = 0, failures: int = 0, retries: int = 0,
-           breaker_rejections: int = 0, breakers_open: int = 0,
-           queue_depth: int = 0) -> "ServerStats":
-        return cls(
-            num_workers=num_workers,
-            singles_submitted=stats.singles_submitted,
-            jobs_submitted=stats.jobs_submitted,
-            batches_executed=stats.batches_executed,
-            requests_executed=stats.requests_executed + inline_executed,
-            max_coalesced=stats.max_coalesced,
-            coalesced_total=stats.coalesced_total,
-            peak_depth=stats.peak_depth,
-            warm_started=warm_started,
-            shed=stats.shed,
-            deadline_expired=stats.deadline_expired + deadline_dropped,
-            failures=failures,
-            retries=retries,
-            breaker_rejections=breaker_rejections,
-            breakers_open=breakers_open,
-            queue_depth=queue_depth,
-        )
+    queue_depth: int = 0         # queued requests at snapshot time
 
 
 class Server:
-    """Concurrent, micro-batching serving runtime over one trained session.
+    """Caller-runs, leader-combining serving runtime over one session.
 
     The server is a client of the session's *components* — its trained
     per-platform models and its lock-protected graph-construction cache —
     while the session's ``predict_batch`` facade is, in turn, a thin client
-    of an embedded inline server: one execution path serves both the
-    legacy synchronous API and the concurrent runtime.
-
-    Use as a context manager (or call :meth:`close`) when workers are
-    enabled; with ``num_workers=0`` there is nothing to shut down.
+    of an embedded server: one execution path serves both the synchronous
+    API and concurrent callers.  The server holds no threads, so
+    :meth:`close` only stops admitting work.
     """
 
     def __init__(self, session, config: Optional[ServerConfig] = None) -> None:
@@ -348,10 +243,9 @@ class Server:
         #: views over these instruments, and repro.obs.snapshot() folds the
         #: whole registry (percentile histograms included) into one document
         self.metrics = MetricsRegistry()
-        self._batcher = MicroBatcher(self.config.max_batch_size,
-                                     self.config.batch_window_s,
-                                     self.config.max_queue_depth,
-                                     metrics=self.metrics)
+        self._combiner = Combiner(self.config.max_batch_size,
+                                  self.config.max_queue_depth,
+                                  metrics=self.metrics)
         self._retry_policy = RetryPolicy(
             max_retries=self.config.max_retries,
             backoff_s=self.config.retry_backoff_s,
@@ -363,27 +257,10 @@ class Server:
         self._retries = self.metrics.counter("serve.retries")
         self._breaker_rejections = self.metrics.counter(
             "serve.breaker_rejections")
-        # expired at execution/inline time (queue-side expiries live in the
-        # batcher's serve.deadline_expired_queue counter)
-        self._deadline_dropped = self.metrics.counter(
-            "serve.deadline_expired_exec")
-        # specs executed on callers' threads (the inline, no-worker path)
-        self._inline_executed = self.metrics.counter("serve.inline_executed")
-        self._latency = self.metrics.histogram("serve.request_latency_s")
+        self._requests_executed = self.metrics.counter(
+            "serve.requests_executed")
         self._queue_wait = self.metrics.histogram("serve.queue_wait_s")
         self._execute_wall = self.metrics.histogram("serve.execute_s")
-        self._closed = False
-        # if the server is dropped without close(), stop the queue so the
-        # parked daemon workers exit instead of pinning batcher/threads
-        # forever (they deliberately hold no strong reference to `self`)
-        self._finalizer = weakref.finalize(self, self._batcher.stop)
-        self._workers: List[threading.Thread] = []
-        for index in range(self.config.num_workers):
-            worker = threading.Thread(
-                target=_drain_loop, args=(self._batcher, weakref.ref(self)),
-                daemon=True, name=f"repro-serve-worker-{index}")
-            worker.start()
-            self._workers.append(worker)
 
     @classmethod
     def from_artifact(cls, path, config: Optional[ServerConfig] = None,
@@ -402,12 +279,6 @@ class Server:
     # ------------------------------------------------------------------ #
     # request entry points
     # ------------------------------------------------------------------ #
-    def _shard_key(self, platform, snippet: bool) -> ShardKey:
-        # resolving the platform (and training, lazily) happens on the
-        # caller's thread so submission errors surface where they were made
-        trainer_key = self._ensure_trainer(platform)
-        return ShardKey(platform=trainer_key, snippet=bool(snippet))
-
     def _absolute_deadline(self, deadline_s: Optional[float]) -> Optional[float]:
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
@@ -420,94 +291,44 @@ class Server:
     def submit(self, source, platform, *, sizes=None, num_teams: int = 64,
                num_threads: int = 64, snippet: bool = False,
                deadline_s: Optional[float] = None) -> "Future[float]":
-        """Queue one prediction; returns a future resolving to µs runtime.
+        """Run one prediction on the calling thread; returns its settled
+        future (the µs runtime, or the error that ended the request).
 
-        Queued singles coalesce with other callers' requests into
-        micro-batches (see :class:`ServerConfig`).  Under the default
-        packed forward (``packed_forward=True``) a float64 result is
-        **bit-identical** to a solo prediction no matter which companions
-        it coalesced with — the packed kernel keeps every BLAS call at
-        solo shapes.  With ``packed_forward=False`` (legacy collated loop)
-        the result matches a solo prediction only to BLAS rounding
-        (~1e-14 relative in float64), because batch composition changes
-        the GEMM shapes.
+        Singles that other callers submit to the same shard while it is
+        busy coalesce into one batch of up to ``max_batch_size``; a
+        coalesced float64 result is **bit-identical** to a solo prediction
+        no matter which companions it shared the forward with — the packed
+        kernel keeps every BLAS call at solo shapes.
 
-        *deadline_s* bounds the request end to end (queueing included);
-        the future then resolves to :class:`DeadlineExceeded` instead of
-        waiting forever.  Admission failures (:class:`ServerOverloaded`,
-        :class:`CircuitOpenError`, :class:`ServerClosedError`) raise
-        synchronously on the calling thread.
+        *deadline_s* bounds the request end to end (queueing included):
+        the caller only ever executes the batch holding its own request,
+        and past the deadline the future holds :class:`DeadlineExceeded`
+        (a request another caller is executing gets
+        :data:`~repro.serve.batching.RESULT_GRACE_S` more).  Admission
+        failures (:class:`ServerOverloaded`, :class:`CircuitOpenError`,
+        :class:`ServerClosedError`) raise synchronously.
         """
         from ..api.stages import SourceSpec
 
         spec = SourceSpec.of(source, sizes=sizes, num_teams=num_teams,
                              num_threads=num_threads)
         trace = begin_trace("serve.request", kind="single")
-        key, deadline = self._admit(trace, platform, snippet, deadline_s)
-        if not self._workers:
-            return self._inline_single(key, spec, deadline, trace)
-        try:
-            return self._batcher.enqueue_single(key, spec, deadline,
-                                                trace=trace)
-        except BaseException as error:   # shed / closed: typed, synchronous
-            complete_trace(trace, error)
-            raise
-
-    def _admit(self, trace, platform, snippet, deadline_s):
-        """The shared admission sequence, recorded as a ``serve.submit``
-        span; admission failures raise synchronously on the caller's
-        thread and complete the request's trace with an error status."""
-        submit_span = trace.root.child("serve.submit") \
-            if trace is not None else None
-        try:
-            self._checked_open()
-            fault_point(SITE_SUBMIT)
-            deadline = self._absolute_deadline(deadline_s)
-            key = self._shard_key(platform, snippet)
-            self._checked_breaker(key)
-        except BaseException as error:
-            if submit_span is not None:
-                submit_span.finish(error)
-            complete_trace(trace, error)
-            raise
-        if trace is not None:
-            submit_span.finish()
-            trace.root.attributes.update(
-                platform=key.platform, snippet=key.snippet)
-        return key, deadline
-
-    def _inline_single(self, key: ShardKey, spec, deadline, trace) -> "Future":
-        """Execute one submitted request on the caller's thread."""
+        request = self._serve(trace, platform, snippet, deadline_s, [spec],
+                              job=False)
         future: Future = Future()
-        if deadline is not None and time.monotonic() >= deadline:
-            self._count_deadline_dropped(1)
-            error = DeadlineExceeded(
-                "request deadline expired before execution")
-            complete_trace(trace, error)
-            future.set_exception(error)
-            return future
-        self._count_inline_executed(1)
-        start = time.monotonic()
-        try:
-            with activate_span(trace.root if trace is not None else None):
-                values = self._execute_with_retry(key, [spec], deadline)
-        except Exception as error:  # KeyboardInterrupt etc. must propagate
-            self._count_failures(1)
-            self._latency.observe(time.monotonic() - start)
-            complete_trace(trace, error)
-            future.set_exception(error)  # on the caller's own thread
+        if not request.done:
+            future.set_exception(DeadlineExceeded(_ABANDONED))
+        elif request.error is not None:
+            future.set_exception(request.error)
         else:
-            self._latency.observe(time.monotonic() - start)
-            complete_trace(trace)
-            future.set_result(float(values[0]))
+            future.set_result(request.value)
         return future
 
     def predict(self, source, platform, *, deadline_s: Optional[float] = None,
                 **kwargs) -> float:
-        """Synchronous single prediction through the micro-batching queue."""
-        deadline = self._absolute_deadline(deadline_s)
-        future = self.submit(source, platform, deadline_s=deadline_s, **kwargs)
-        return float(self._await_future(future, deadline))
+        """Synchronous single prediction (see :meth:`submit`)."""
+        return float(self.submit(source, platform, deadline_s=deadline_s,
+                                 **kwargs).result())
 
     def predict_batch(self, sources: Sequence, platform, *, sizes=None,
                       num_teams: int = 64, num_threads: int = 64,
@@ -536,48 +357,55 @@ class Server:
             return np.zeros(0)
         trace = begin_trace("serve.request", kind="job",
                             batch_size=len(specs))
-        key, deadline = self._admit(trace, platform, snippet, deadline_s)
-        if not self._workers:
-            if deadline is not None and time.monotonic() >= deadline:
-                self._count_deadline_dropped(len(specs))
-                error = DeadlineExceeded(
-                    "batch deadline expired before execution")
-                complete_trace(trace, error)
-                raise error
-            self._count_inline_executed(len(specs))
-            start = time.monotonic()
+        request = self._serve(trace, platform, snippet, deadline_s,
+                              list(specs), job=True)
+        if not request.done:
+            raise DeadlineExceeded(_ABANDONED)
+        if request.error is not None:
+            raise request.error
+        return request.value
+
+    def _serve(self, trace, platform, snippet: bool,
+               deadline_s: Optional[float], specs: List, job: bool) -> Request:
+        """Admit one request, then drive it to settlement on this thread —
+        leading its lane for the batch that holds it, unless another
+        leader settles it first."""
+        request = self._admit(trace, platform, snippet, deadline_s, specs, job)
+        batch = self._combiner.turn(request)
+        if batch is not None:
             try:
-                with activate_span(trace.root if trace is not None else None):
-                    values = self._execute_with_retry(key, list(specs),
-                                                      deadline)
-            except Exception as error:
-                self._count_failures(len(specs))
-                self._latency.observe(time.monotonic() - start)
-                complete_trace(trace, error)
-                raise
-            self._latency.observe(time.monotonic() - start)
-            complete_trace(trace)
-            return values
+                self._run_batch(batch)
+            finally:
+                self._combiner.release(request)
+        return request
+
+    def _admit(self, trace, platform, snippet, deadline_s, specs,
+               job) -> Request:
+        """The admission sequence, recorded as a ``serve.submit`` span;
+        admission failures raise synchronously on the caller's thread and
+        complete the request's trace with an error status."""
+        submit_span = trace.root.child("serve.submit") \
+            if trace is not None else None
         try:
-            future = self._batcher.enqueue_job(key, list(specs), deadline,
-                                               trace=trace)
-        except BaseException as error:   # shed / closed: typed, synchronous
+            self._checked_open()
+            fault_point(SITE_SUBMIT)
+            deadline = self._absolute_deadline(deadline_s)
+            # resolving the platform (and training, lazily) happens here so
+            # submission errors surface where they were made
+            key = ShardKey(self._ensure_trainer(platform), bool(snippet))
+            self._checked_breaker(key)
+            request = Request(key, specs, job, deadline, trace)
+            self._combiner.enqueue(request)
+        except BaseException as error:
+            if submit_span is not None:
+                submit_span.finish(error)
             complete_trace(trace, error)
             raise
-        return self._await_future(future, deadline)
-
-    def _await_future(self, future: "Future", deadline: Optional[float]):
-        """Resolve a queued future, never waiting meaningfully past its
-        deadline (a wedged worker must not translate into a caller hang)."""
-        if deadline is None:
-            return future.result()
-        remaining = max(deadline - time.monotonic(), 0.0)
-        try:
-            return future.result(timeout=remaining + _RESULT_GRACE_S)
-        except FutureTimeoutError:
-            raise DeadlineExceeded(
-                "request deadline expired while awaiting a worker (the "
-                "result, if any, was abandoned)") from None
+        if trace is not None:
+            submit_span.finish()
+            trace.root.attributes.update(
+                platform=key.platform, snippet=key.snippet)
+        return request
 
     # ------------------------------------------------------------------ #
     # execution
@@ -618,17 +446,8 @@ class Server:
                 f"failures; retrying after {self.config.breaker_reset_s:g}s "
                 "admits a trial request")
 
-    def _count_failures(self, n: int) -> None:
-        self._failures.inc(n)
-
-    def _count_deadline_dropped(self, n: int) -> None:
-        self._deadline_dropped.inc(n)
-
-    def _count_inline_executed(self, n: int) -> None:
-        self._inline_executed.inc(n)
-
     def _execute(self, key: ShardKey, specs: List) -> np.ndarray:
-        """Run one batch end to end: cached encode + batched GNN forward."""
+        """Run one batch end to end: cached encode + packed GNN forward."""
         from ..api.pipeline import Pipeline
         from ..api.stages import PredictStage
 
@@ -636,8 +455,8 @@ class Server:
         with obs_span("serve.encode", batch_size=len(specs)):
             encoded = self._session._encode_specs(specs, snippet=key.snippet)
         fault_point(SITE_FORWARD)
-        stage = PredictStage(packed=self.config.packed_forward)
-        context = Pipeline([stage]).run(encoded=encoded, trainer=trainer)
+        context = Pipeline([PredictStage()]).run(encoded=encoded,
+                                                 trainer=trainer)
         return context["predictions"]
 
     def _execute_with_retry(self, key: ShardKey, specs: List,
@@ -674,173 +493,121 @@ class Server:
             breaker.record_success()
         return values
 
-    def _run_item(self, item: WorkItem) -> None:
-        # deadlines are re-checked at execution time: a request that expired
-        # between dequeue and here must not burn a forward
+    def _run_batch(self, batch: List[Request]) -> None:
+        """Execute one batch on the leader's thread and settle every request
+        in it — on every path, ``BaseException`` included, so no follower
+        ever waits on a request that nobody holds."""
+        try:
+            self._execute_batch(batch)
+        except BaseException as error:
+            for request in batch:
+                if not request.done:
+                    self._combiner.settle(request, error=error)
+            raise
+
+    def _execute_batch(self, batch: List[Request]) -> None:
         now = time.monotonic()
-        traces = item.traces or (None,) * len(item.futures)
-        enqueued = item.enqueued or (now,) * len(item.futures)
-        for queued_at in enqueued:
-            self._queue_wait.observe(max(now - queued_at, 0.0))
-        for trace, queued_at in zip(traces, enqueued):
-            if trace is not None:
-                trace.root.child("serve.queue",
-                                 start_s=queued_at).finish(end_s=now)
-        if item.kind == "job":
-            deadline = item.deadlines[0]
-            if deadline is not None and deadline <= now:
-                self._count_deadline_dropped(len(item.specs))
-                error = DeadlineExceeded(
-                    "batch deadline expired before execution")
-                complete_trace(traces[0], error)
-                item.futures[0].set_exception(error)
-                return
-            specs, futures, deadlines = item.specs, item.futures, item.deadlines
-            live_traces, live_enqueued = list(traces), list(enqueued)
-        else:
-            specs, futures, deadlines = [], [], []
-            live_traces, live_enqueued = [], []
-            for spec, future, spec_deadline, trace, queued_at in zip(
-                    item.specs, item.futures, item.deadlines, traces,
-                    enqueued):
-                if spec_deadline is not None and spec_deadline <= now:
-                    self._count_deadline_dropped(1)
-                    error = DeadlineExceeded(
-                        "request deadline expired before execution")
-                    complete_trace(trace, error)
-                    future.set_exception(error)
-                else:
-                    specs.append(spec)
-                    futures.append(future)
-                    deadlines.append(spec_deadline)
-                    live_traces.append(trace)
-                    live_enqueued.append(queued_at)
-            if not specs:
-                return
-        batch_deadline = None
-        live_deadlines = [d for d in deadlines if d is not None]
-        if item.kind == "job":
-            batch_deadline = item.deadlines[0]
-        elif live_deadlines and len(live_deadlines) == len(deadlines):
-            # only bound the whole batch when *every* request is bounded —
-            # one short deadline must not time out its unbounded neighbours
-            batch_deadline = min(live_deadlines)
-        # one shared execute span for the fused batch; it is grafted into
-        # every live request's tree afterwards (requests coalesced into the
-        # same forward genuinely share the work)
-        execute = None
-        if any(trace is not None for trace in live_traces):
-            execute = Span("serve.execute", {"kind": item.kind,
-                                             "batch_size": len(specs)})
+        for request in batch:
+            self._queue_wait.observe(now - request.enqueued)
+        specs = [spec for request in batch for spec in request.specs]
+        deadlines = [request.deadline for request in batch]
+        # bound the batch only when *every* request is bounded — one short
+        # deadline must not time out its unbounded neighbours
+        deadline = None if None in deadlines else min(deadlines)
+        self._requests_executed.inc(len(specs))
+        shared = self._shared_span(batch, now, len(specs))
+        # a lone request executes directly under its own root span
+        lone = batch[0].trace.root if batch[0].trace is not None else None
         try:
             fault_point(SITE_WORKER)
-            with activate_span(execute):
-                values = self._execute_with_retry(item.key, specs,
-                                                  batch_deadline)
-        except BaseException as error:  # noqa: BLE001 - delivered to futures
-            if execute is not None:
-                execute.finish(error)
-            self._graft(execute, live_traces)
-            if item.kind == "singles" and len(specs) > 1:
-                # a poisoned request must not fail its batch neighbours:
-                # retry the coalesced singles individually
-                for spec, future, spec_deadline, trace, queued_at in zip(
-                        specs, futures, deadlines, live_traces,
-                        live_enqueued):
-                    retry_span = None
-                    if trace is not None:
-                        retry_span = Span("serve.execute",
-                                          {"kind": "retry-single",
-                                           "batch_size": 1})
-                    try:
-                        with activate_span(retry_span):
-                            value = float(self._execute_with_retry(
-                                item.key, [spec], spec_deadline)[0])
-                    except BaseException as single_error:  # noqa: BLE001
-                        self._count_failures(1)
-                        self._finish_one(future, trace, retry_span,
-                                         queued_at, error=single_error)
-                    else:
-                        self._finish_one(future, trace, retry_span,
-                                         queued_at, value=value)
+            with activate_span(shared if len(batch) > 1 else lone):
+                values = self._execute_with_retry(batch[0].key, specs,
+                                                  deadline)
+        except Exception as error:
+            self._graft(shared, batch, error)
+            if len(batch) > 1:
+                self._run_alone(batch)
                 return
-            self._count_failures(len(specs))
-            end = time.monotonic()
-            for future, trace, queued_at in zip(futures, live_traces,
-                                                live_enqueued):
-                self._latency.observe(max(end - queued_at, 0.0))
-                complete_trace(trace, error)
-                future.set_exception(error)
+            self._failures.inc(len(specs))
+            self._combiner.settle(batch[0], error=error)
             return
-        if execute is not None:
-            execute.finish()
-        self._graft(execute, live_traces)
-        end = time.monotonic()
-        if item.kind == "job":
-            self._latency.observe(max(end - live_enqueued[0], 0.0))
-            complete_trace(live_traces[0])
-            futures[0].set_result(np.asarray(values))
-        else:
-            for future, value, trace, queued_at in zip(futures, values,
-                                                       live_traces,
-                                                       live_enqueued):
-                self._latency.observe(max(end - queued_at, 0.0))
-                complete_trace(trace)
-                future.set_result(float(value))
+        self._graft(shared, batch)
+        for index, request in enumerate(batch):
+            # a job is always alone in its batch; singles carry one spec each
+            self._combiner.settle(request, values if request.job
+                                  else float(values[index]))
+
+    def _run_alone(self, batch: List[Request]) -> None:
+        """The poisoned-batch split: a failed multi-request batch retries
+        each request alone, so one bad request cannot fail its neighbours
+        and surfaces its own original error."""
+        for request in batch:
+            retry_span = None
+            if request.trace is not None:
+                retry_span = request.trace.root.child(
+                    "serve.execute", {"kind": "retry-single",
+                                      "batch_size": len(request.specs)})
+            try:
+                with activate_span(retry_span):
+                    values = self._execute_with_retry(
+                        request.key, request.specs, request.deadline)
+            except Exception as error:
+                if retry_span is not None:
+                    retry_span.finish(error)
+                self._failures.inc(len(request.specs))
+                self._combiner.settle(request, error=error)
+            else:
+                if retry_span is not None:
+                    retry_span.finish()
+                self._combiner.settle(request, float(values[0]))
 
     @staticmethod
-    def _graft(execute: Optional[Span], traces) -> None:
-        """Attach the finished shared execute span to every live trace."""
-        if execute is None:
-            return
-        for trace in traces:
-            if trace is not None:
-                trace.root.children.append(execute)
+    def _shared_span(batch: List[Request], now: float,
+                     batch_size: int) -> Optional[Span]:
+        """A coalesced batch's one detached ``serve.execute`` span, after
+        recording each traced request's ``serve.queue`` wait (``None`` for
+        a lone request or an untraced batch)."""
+        if len(batch) == 1 or all(request.trace is None for request in batch):
+            return None
+        for request in batch:
+            if request.trace is not None:
+                request.trace.root.child(
+                    "serve.queue", start_s=request.enqueued).finish(end_s=now)
+        return Span("serve.execute", {"kind": "singles",
+                                      "batch_size": batch_size})
 
-    def _finish_one(self, future: "Future", trace, retry_span,
-                    queued_at: float, value=None, error=None) -> None:
-        """Resolve one individually-retried single: graft its retry span,
-        record latency, complete the trace, then settle the future."""
-        if retry_span is not None:
-            retry_span.finish(error)
-            if trace is not None:
-                trace.root.children.append(retry_span)
-        self._latency.observe(max(time.monotonic() - queued_at, 0.0))
-        complete_trace(trace, error)
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(value)
+    @staticmethod
+    def _graft(shared: Optional[Span], batch: List[Request],
+               error: Optional[BaseException] = None) -> None:
+        """Finish the shared execute span and attach it to every traced
+        request of the batch: they genuinely shared the work."""
+        if shared is None:
+            return
+        shared.finish(error)
+        for request in batch:
+            if request.trace is not None:
+                request.trace.root.children.append(shared)
 
     # ------------------------------------------------------------------ #
     # lifecycle / introspection
     # ------------------------------------------------------------------ #
     def _checked_open(self) -> None:
-        # the worker path gets this from MicroBatcher.stop(); the inline
-        # path must enforce the same "closed servers reject work" contract
-        if self._closed:
+        if self._combiner.closed:
             raise ServerClosedError(SHUTDOWN_MESSAGE)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every queued request has finished executing.
+        """Block until nothing is queued or being executed.
 
-        Returns ``True`` when the queue went idle, ``False`` when *timeout*
-        expired first — promptly, even if a worker is wedged mid-batch.
-        Draining a closed (or never-pooled) server is well-defined and
-        returns ``True`` immediately: close() already drained the queue.
+        Returns ``True`` when the server went idle, ``False`` when
+        *timeout* expired first — promptly, even if a leader is wedged
+        mid-batch.
         """
-        if not self._workers or self._closed:
-            return True
-        return self._batcher.wait_idle(timeout)
+        return self._combiner.wait_idle(timeout)
 
     def close(self) -> None:
-        """Stop accepting work, finish the queue, and join the workers."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer()        # batcher.stop(); shared with the GC path
-        for worker in self._workers:
-            worker.join()
+        """Stop accepting work.  Requests already queued still run on
+        their callers' threads; there is nothing to join."""
+        self._combiner.close()
 
     def __enter__(self) -> "Server":
         return self
@@ -856,23 +623,26 @@ class Server:
     def stats(self) -> ServerStats:
         """Queue/coalescing/reliability accounting (all-zero until traffic
         arrives), plus whether the model set was warm-started."""
-        failures = self._failures.value
-        retries = self._retries.value
-        breaker_rejections = self._breaker_rejections.value
-        deadline_dropped = self._deadline_dropped.value
-        inline_executed = self._inline_executed.value
-        breakers_open = sum(1 for breaker in list(self._breakers.values())
-                            if breaker.state == "open")
-        return ServerStats.of(
-            self.config.num_workers, self._batcher.stats(),
-            bool(getattr(self._session, "warm_started", False)),
-            deadline_dropped=deadline_dropped,
-            inline_executed=inline_executed,
-            failures=failures,
-            retries=retries,
-            breaker_rejections=breaker_rejections,
-            breakers_open=breakers_open,
-            queue_depth=self._batcher.pending())
+        def read(name: str) -> int:
+            return int(self.metrics.get(name).value)
+
+        return ServerStats(
+            singles_submitted=read("serve.singles_submitted"),
+            jobs_submitted=read("serve.jobs_submitted"),
+            batches_executed=read("serve.batches_executed"),
+            requests_executed=read("serve.requests_executed"),
+            max_coalesced=read("serve.max_coalesced"),
+            coalesced_total=read("serve.coalesced_total"),
+            peak_depth=read("serve.peak_queue_depth"),
+            warm_started=bool(getattr(self._session, "warm_started", False)),
+            shed=read("serve.shed"),
+            deadline_expired=read("serve.deadline_expired"),
+            failures=read("serve.failures"),
+            retries=read("serve.retries"),
+            breaker_rejections=read("serve.breaker_rejections"),
+            breakers_open=sum(1 for breaker in list(self._breakers.values())
+                              if breaker.state == "open"),
+            queue_depth=self._combiner.pending())
 
     def healthz(self) -> dict:
         """Liveness/degradation snapshot (the future gateway's health page).
@@ -885,7 +655,7 @@ class Server:
             f"{key.platform}[{'snippet' if key.snippet else 'full'}]":
                 breaker.state
             for key, breaker in sorted(self._breakers.items())}
-        if self._closed:
+        if self._combiner.closed:
             status = "closed"
         elif stats.breakers_open:
             status = "degraded"
@@ -894,7 +664,6 @@ class Server:
         executed = stats.requests_executed
         return {
             "status": status,
-            "num_workers": stats.num_workers,
             "queue_depth": stats.queue_depth,
             "requests_executed": executed,
             "failures": stats.failures,
@@ -917,7 +686,5 @@ class Server:
         return obs_snapshot(server=self, session=self._session)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"Server(workers={self.config.num_workers}, "
-                f"max_batch={self.config.max_batch_size}, "
-                f"window={self.config.batch_window_s * 1000:.1f}ms, "
+        return (f"Server(max_batch={self.config.max_batch_size}, "
                 f"platforms={sorted(self._trainers)})")

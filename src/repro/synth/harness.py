@@ -579,9 +579,9 @@ def check_serve_under_faults(seed: int) -> None:
     Seeded plan: a warm-started single-platform session serves a fixed
     request list twice — once fault-free (the reference) and once inside an
     :func:`~repro.reliability.inject_faults` scope with seed-chosen
-    transient forward failures, worker/scheduler delays, admission faults,
-    a bounded queue and (some seeds) an already-expired deadline.  The
-    chaos run uses ``num_workers=1, max_batch_size=1`` so execution order —
+    transient forward failures, leader delays, admission faults, a bounded
+    queue and (some seeds) an already-expired deadline.  The chaos run
+    submits from one thread with ``max_batch_size=1``, so execution order —
     and therefore the per-(site, kind) rng streams — replays by seed.
 
     Invariant: every request either yields a float64 result bit-identical
@@ -608,9 +608,8 @@ def check_serve_under_faults(seed: int) -> None:
     typed = (DeadlineExceeded, ServerOverloaded, CircuitOpenError,
              TransientFaultError)
 
-    # fault-free float64 references (inline server: same execution path)
-    clean = Server(session, ServerConfig(num_workers=0, max_retries=0,
-                                         breaker_threshold=0))
+    # fault-free float64 references (same execution path)
+    clean = Server(session, ServerConfig(max_retries=0, breaker_threshold=0))
     references = [float(clean.predict_batch([source], platform)[0])
                   for source in sources]
     reference_batch = clean.predict_batch(sources, platform)
@@ -621,15 +620,12 @@ def check_serve_under_faults(seed: int) -> None:
         FaultSpec("serve.worker", "delay",
                   float(rng.uniform(0.1, 0.6)),
                   delay_s=float(rng.uniform(0.001, 0.003))),
-        FaultSpec("serve.schedule", "delay",
-                  float(rng.uniform(0.1, 0.4)),
-                  delay_s=float(rng.uniform(0.001, 0.002))),
         FaultSpec("serve.submit", "raise",
                   float(rng.uniform(0.05, 0.3))),
     ]
     picked = [spec for spec in menu if rng.random() < 0.75] or [menu[0]]
     expire_one = bool(rng.integers(0, 2))
-    config = ServerConfig(num_workers=1, max_batch_size=1, batch_window_s=0.0,
+    config = ServerConfig(max_batch_size=1,
                           default_deadline_s=5.0, max_queue_depth=8,
                           max_retries=2, retry_backoff_s=0.001,
                           breaker_threshold=4, breaker_reset_s=0.05)
@@ -677,8 +673,9 @@ def check_serve_under_faults(seed: int) -> None:
 def check_trace_completeness(seed: int) -> None:
     """The ``repro.obs`` tracing contract: one span tree per request.
 
-    Seeded plan: a warm-started session serves a fixed request list through
-    a seed-chosen topology (inline or pooled workers, coalescing windows,
+    Seeded plan: a warm-started session serves a fixed request list from
+    1-3 concurrent submitting threads (so lane leadership changes hands
+    and singles coalesce) through a seed-chosen topology (batch size,
     breaker on/off) inside ``trace_requests`` + ``metrics_scope`` scopes,
     with seed-chosen fault injection and (some seeds) an already-expired
     deadline.  The invariant: every submission either resolves or raises a
@@ -689,6 +686,7 @@ def check_trace_completeness(seed: int) -> None:
     dropped): an incomplete trace is a leaked request, a surplus one is a
     double delivery.
     """
+    import threading
     from concurrent.futures import TimeoutError as FutureTimeout
 
     from ..obs.metrics import MetricsRegistry, metrics_scope
@@ -717,10 +715,8 @@ def check_trace_completeness(seed: int) -> None:
     ]
     picked = [spec for spec in menu if rng.random() < 0.5]
     expire_one = bool(rng.integers(0, 2))
-    num_workers = int(rng.integers(0, 3))       # 0 exercises the inline path
-    config = ServerConfig(num_workers=num_workers,
-                          max_batch_size=int(rng.integers(1, 4)),
-                          batch_window_s=float(rng.choice([0.0, 0.002])),
+    num_threads = int(rng.integers(1, 4))
+    config = ServerConfig(max_batch_size=int(rng.integers(1, 4)),
                           default_deadline_s=5.0, max_queue_depth=16,
                           max_retries=1, retry_backoff_s=0.001,
                           breaker_threshold=int(rng.choice([0, 4])),
@@ -758,10 +754,28 @@ def check_trace_completeness(seed: int) -> None:
 
     def serve_all() -> int:
         server = Server(session, config)
+        counts: List[int] = []
+        failures: List[str] = []
+
+        def client() -> None:
+            try:
+                counts.append(run_traffic(server))
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(f"{type(error).__name__}: {error}")
+
+        threads = [threading.Thread(target=client)
+                   for _ in range(num_threads)]
         try:
-            return run_traffic(server)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
         finally:
             server.close()
+        assert not any(thread.is_alive() for thread in threads), (
+            "a client thread hung past 60s")
+        assert not failures, failures[0]
+        return sum(counts)
 
     with metrics_scope(MetricsRegistry()):
         with trace_requests(capacity=64) as collector:

@@ -280,20 +280,20 @@ class TestProfile:
 # --------------------------------------------------------------------- #
 class TestStatsCompat:
     STATS_FIELDS = (
-        "num_workers", "singles_submitted", "jobs_submitted",
+        "singles_submitted", "jobs_submitted",
         "batches_executed", "requests_executed", "max_coalesced",
         "coalesced_total", "peak_depth", "warm_started", "shed",
         "deadline_expired", "failures", "retries", "breaker_rejections",
         "breakers_open", "queue_depth")
     HEALTHZ_FIELDS = (
-        "status", "num_workers", "queue_depth", "requests_executed",
+        "status", "queue_depth", "requests_executed",
         "failures", "error_rate", "retries", "shed", "deadline_expired",
         "breaker_rejections", "breakers", "retry_budget_tokens",
         "warm_started")
 
     def test_inline_stats_shape_and_values(self, stack):
         session, platform, sources = stack
-        server = Server(session, ServerConfig(num_workers=0))
+        server = Server(session, ServerConfig())
         try:
             for source in sources:
                 server.submit(source, platform).result(timeout=30.0)
@@ -309,11 +309,9 @@ class TestStatsCompat:
         assert all(isinstance(value, (int, bool))
                    for value in stats._asdict().values())
 
-    def test_pooled_stats_and_healthz_shape(self, stack):
+    def test_stats_and_healthz_shape_after_mixed_traffic(self, stack):
         session, platform, sources = stack
-        server = Server(session, ServerConfig(num_workers=2,
-                                              max_batch_size=4,
-                                              batch_window_s=0.001))
+        server = Server(session, ServerConfig(max_batch_size=4))
         try:
             futures = [server.submit(source, platform) for source in sources]
             for future in futures:
@@ -333,10 +331,11 @@ class TestStatsCompat:
 
     def test_counters_live_in_the_obs_registry(self, stack):
         session, platform, sources = stack
-        server = Server(session, ServerConfig(num_workers=0))
+        server = Server(session, ServerConfig())
         try:
             server.submit(sources[0], platform).result(timeout=30.0)
-            assert server.metrics.counter("serve.inline_executed").value == 1
+            assert server.metrics.counter(
+                "serve.requests_executed").value == 1
             assert server.metrics.histogram(
                 "serve.request_latency_s").count == 1
         finally:
@@ -401,9 +400,7 @@ class TestCacheStats:
 class TestSnapshot:
     def test_server_snapshot_validates_and_covers_the_surface(self, stack):
         session, platform, sources = stack
-        server = Server(session, ServerConfig(num_workers=2,
-                                              max_batch_size=4,
-                                              batch_window_s=0.001))
+        server = Server(session, ServerConfig(max_batch_size=4))
         try:
             with metrics_scope(), trace_requests():
                 for source in sources:
@@ -443,9 +440,7 @@ class TestSnapshot:
 
     def test_traced_request_covers_submit_to_respond(self, stack):
         session, platform, sources = stack
-        server = Server(session, ServerConfig(num_workers=1,
-                                              max_batch_size=2,
-                                              batch_window_s=0.001))
+        server = Server(session, ServerConfig(max_batch_size=2))
         try:
             with trace_requests() as collector:
                 server.submit(sources[0], platform).result(timeout=30.0)
@@ -456,10 +451,39 @@ class TestSnapshot:
         trace = traces[0]
         assert trace.root.name == "serve.request"
         trace.validate()
-        for name in ("serve.submit", "serve.queue", "serve.execute",
-                     "serve.encode", "engine.pack", "engine.forward"):
+        # a lone request executes directly under its own root: nothing
+        # queued it, and it shared no forward
+        assert trace.root.find("serve.queue") is None
+        assert trace.root.find("serve.execute") is None
+        for name in ("serve.submit", "serve.encode", "engine.pack",
+                     "engine.forward"):
             assert trace.root.find(name) is not None, (
                 f"span {name!r} missing from:\n{trace.render()}")
+
+    def test_coalesced_requests_share_one_execute_span(self, stack):
+        from _coalesce import coalesce
+
+        session, platform, sources = stack
+        server = Server(session, ServerConfig(max_batch_size=4))
+        try:
+            with trace_requests() as collector:
+                futures = coalesce(server, platform, sources[0], sources[1:3])
+                for future in futures:
+                    future.result(timeout=30.0)
+        finally:
+            server.close()
+        traces = collector.traces()
+        assert len(traces) == 3
+        coalesced = [trace for trace in traces
+                     if trace.root.find("serve.queue") is not None]
+        assert len(coalesced) == 2, "the two followers never coalesced"
+        shared = {id(trace.root.find("serve.execute")) for trace in coalesced}
+        assert len(shared) == 1, "coalesced requests ran separate forwards"
+        for trace in coalesced:
+            trace.validate()
+            execute = trace.root.find("serve.execute")
+            assert execute.attributes["batch_size"] == 2
+            assert execute.find("engine.forward") is not None
 
 
 # --------------------------------------------------------------------- #
@@ -467,18 +491,17 @@ class TestSnapshot:
 # --------------------------------------------------------------------- #
 class TestCli:
     def test_snapshot_command_emits_valid_json(self, capsys):
-        code = obs_main(["snapshot", "--requests", "2", "--workers", "1",
-                         "--indent", "0"])
+        code = obs_main(["snapshot", "--requests", "2", "--indent", "0"])
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         validate_snapshot(document)
         assert document["server"]["health"]["status"] in ("ok", "degraded")
 
     def test_trace_command_renders_a_tree(self, capsys):
-        code = obs_main(["trace", "--workers", "1"])
+        code = obs_main(["trace"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "serve.request" in out and "serve.execute" in out
+        assert "serve.request" in out and "engine.forward" in out
 
     def test_missing_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

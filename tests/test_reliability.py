@@ -387,7 +387,7 @@ class TestFaultInjection:
 class TestServerDeadlines:
     def test_inline_expired_deadline_is_typed(self, warm_stack):
         session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0))
+        server = Server(session, ServerConfig())
         future = server.submit(sources[0], platform, deadline_s=0.0)
         with pytest.raises(DeadlineExceeded):
             future.result(timeout=1.0)
@@ -396,71 +396,76 @@ class TestServerDeadlines:
         assert server.stats().deadline_expired >= 1 + len(sources)
 
     def test_queued_expiry_is_dropped_at_dequeue(self, warm_stack):
+        from _coalesce import coalesce
+
         session, platform, sources = warm_stack
-        with Server(session, ServerConfig(num_workers=1,
-                                          batch_window_s=0.0)) as server:
-            future = server.submit(sources[0], platform, deadline_s=0.0)
+        with Server(session, ServerConfig(max_batch_size=8)) as server:
+            # the 0.2 s single expires while queued behind a 0.5 s leader
+            head, expiring, live = coalesce(server, platform, sources[0],
+                                            sources[1:3],
+                                            deadlines=[0.2, None])
             with pytest.raises(DeadlineExceeded):
-                future.result(timeout=5.0)
-            assert server.stats().deadline_expired >= 1
+                expiring.result(timeout=0)
+            assert np.isfinite(head.result(timeout=0))
+            assert np.isfinite(live.result(timeout=0))
+            stats = server.stats()
+        assert stats.deadline_expired == 1
+        assert stats.requests_executed == 2     # it never reached a forward
 
     def test_default_deadline_applies(self, warm_stack):
         session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0,
-                                              default_deadline_s=0.0))
+        server = Server(session, ServerConfig(default_deadline_s=0.0))
         with pytest.raises(DeadlineExceeded):
             server.predict(sources[0], platform)
 
     def test_generous_deadline_serves_bit_identically(self, warm_stack):
         session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0))
+        server = Server(session, ServerConfig())
         reference = server.predict_batch(sources, platform)
-        with Server(session, ServerConfig(num_workers=2)) as pooled:
-            result = pooled.predict_batch(sources, platform,
-                                          deadline_s=30.0)
+        with Server(session, ServerConfig()) as bounded:
+            result = bounded.predict_batch(sources, platform,
+                                           deadline_s=30.0)
         np.testing.assert_array_equal(result, reference)
 
     def test_negative_deadline_is_rejected(self, warm_stack):
         session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0))
+        server = Server(session, ServerConfig())
         with pytest.raises(ValueError, match="deadline_s"):
             server.predict(sources[0], platform, deadline_s=-1.0)
 
 
 class TestServerShedding:
     def test_overload_sheds_with_typed_error(self, warm_stack):
+        from _coalesce import coalesce
+
         session, platform, sources = warm_stack
-        plan = FaultPlan(5, [FaultSpec(SITE_WORKER, "delay", 1.0,
-                                       delay_s=0.2)])
-        config = ServerConfig(num_workers=1, max_batch_size=1,
-                              batch_window_s=0.0, max_queue_depth=1)
-        shed = 0
-        with inject_faults(plan):
-            with Server(session, config) as server:
-                futures = []
-                for _ in range(6):
-                    try:
-                        futures.append(server.submit(sources[0], platform))
-                    except ServerOverloaded:
-                        shed += 1
-                for future in futures:
-                    future.result(timeout=30.0)
-                assert shed > 0, "a 1-deep queue under a wedged worker " \
-                                 "must shed"
-                stats = server.stats()
-                assert stats.shed == shed
-                assert server.healthz()["shed"] == shed
+        config = ServerConfig(max_batch_size=1, max_queue_depth=1)
+        with Server(session, config) as server:
+            # a held leader, one queued caller, and five more that find
+            # the 1-deep queue full
+            outcomes = coalesce(server, platform, sources[0],
+                                [sources[0]] * 6, hold_s=0.2, seed=5,
+                                wait_queued=1)
+            shed = sum(isinstance(outcome, ServerOverloaded)
+                       for outcome in outcomes)
+            for outcome in outcomes:
+                if not isinstance(outcome, ServerOverloaded):
+                    outcome.result(timeout=30.0)
+            assert shed > 0, "a 1-deep queue under a held leader must shed"
+            stats = server.stats()
+            assert stats.shed == shed
+            assert server.healthz()["shed"] == shed
 
 
 class TestServerRetries:
     def test_transient_forward_fault_is_retried_bit_identically(
             self, warm_stack):
         session, platform, sources = warm_stack
-        clean = Server(session, ServerConfig(num_workers=0))
+        clean = Server(session, ServerConfig())
         reference = clean.predict_batch(sources[:1], platform)
         plan = FaultPlan(11, [FaultSpec(SITE_FORWARD, "raise", 1.0,
                                         max_fires=2)])
-        config = ServerConfig(num_workers=0, max_retries=3,
+        config = ServerConfig(max_retries=3,
                               retry_backoff_s=0.0)
         with inject_faults(plan) as injector:
             server = Server(session, config)
@@ -474,7 +479,7 @@ class TestServerRetries:
     def test_exhausted_retries_surface_the_fault(self, warm_stack):
         session, platform, sources = warm_stack
         plan = FaultPlan(13, [FaultSpec(SITE_FORWARD, "raise", 1.0)])
-        config = ServerConfig(num_workers=0, max_retries=1,
+        config = ServerConfig(max_retries=1,
                               retry_backoff_s=0.0, breaker_threshold=0)
         with inject_faults(plan):
             server = Server(session, config)
@@ -486,7 +491,7 @@ class TestServerRetries:
 
     def test_deterministic_errors_are_not_retried(self, warm_stack):
         session, platform, _ = warm_stack
-        server = Server(session, ServerConfig(num_workers=0, max_retries=3))
+        server = Server(session, ServerConfig(max_retries=3))
         with pytest.raises(ParseError):
             server.predict("void broken( {", platform)
         stats = server.stats()
@@ -496,7 +501,7 @@ class TestServerRetries:
     def test_retry_budget_bounds_amplification(self, warm_stack):
         session, platform, sources = warm_stack
         plan = FaultPlan(17, [FaultSpec(SITE_FORWARD, "raise", 1.0)])
-        config = ServerConfig(num_workers=0, max_retries=5,
+        config = ServerConfig(max_retries=5,
                               retry_backoff_s=0.0, retry_budget=2.0,
                               breaker_threshold=0)
         with inject_faults(plan):
@@ -514,7 +519,7 @@ class TestServerBreaker:
         session, platform, sources = warm_stack
         plan = FaultPlan(19, [FaultSpec(SITE_FORWARD, "raise", 1.0,
                                         max_fires=2)])
-        config = ServerConfig(num_workers=0, max_retries=0,
+        config = ServerConfig(max_retries=0,
                               breaker_threshold=2, breaker_reset_s=0.05)
         with inject_faults(plan):
             server = Server(session, config)
@@ -536,27 +541,23 @@ class TestServerBreaker:
 
     def test_deadline_failures_do_not_trip_the_breaker(self, warm_stack):
         session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0,
-                                              breaker_threshold=1))
+        server = Server(session, ServerConfig(breaker_threshold=1))
         with pytest.raises(DeadlineExceeded):
             server.predict(sources[0], platform, deadline_s=0.0)
         assert server.stats().breakers_open == 0
         assert np.isfinite(server.predict(sources[0], platform))
 
-    @pytest.mark.parametrize("num_workers", [0, 1])
-    def test_input_errors_do_not_trip_the_breaker(self, warm_stack,
-                                                  num_workers):
+    def test_input_errors_do_not_trip_the_breaker(self, warm_stack):
         # one client's malformed or over-deep source fails that request
         # alone; it says nothing about the shard, so it must not open the
-        # breaker for every other client (default threshold, inline and
-        # pooled)
+        # breaker for every other client (default threshold)
         session, platform, sources = warm_stack
         bad = ["void broken( {", "void k(int n) { n = n @ 2; }",
                "int k() { return " + "(" * 200 + "1" + ")" * 200 + "; }",
                "void k() { " + "{" * 1000 + "}" * 1000 + " }",
                "void k(int x) { " + "x = " * 1000 + "1; }",
                "int k(int x) { return " + " + ".join(["x"] * 1000) + "; }"]
-        with Server(session, ServerConfig(num_workers=num_workers)) as server:
+        with Server(session, ServerConfig()) as server:
             rejected = 2 * server.config.breaker_threshold
             for index in range(rejected):
                 with pytest.raises((ParseError, LexError)):
@@ -566,8 +567,7 @@ class TestServerBreaker:
             assert np.isfinite(server.predict(sources[0], platform))
             assert server.stats().failures == rejected
 
-    @pytest.mark.parametrize("num_workers", [0, 1])
-    def test_deepest_accepted_sources_predict(self, warm_stack, num_workers):
+    def test_deepest_accepted_sources_predict(self, warm_stack):
         # one level under the parser's nesting limit the whole pipeline
         # (analysis, ParaGraph build, encode, forward) still has stack to
         # spare; one level over it is a ParseError like any bad input
@@ -578,7 +578,7 @@ class TestServerBreaker:
             lambda n: "void k(int x) { " + "x = " * n + "1; }",
             lambda n: "int k(int x) { return "
                       + " + ".join(["x"] * n) + "; }"]
-        with Server(session, ServerConfig(num_workers=num_workers)) as server:
+        with Server(session, ServerConfig()) as server:
             for make in families:
                 deepest = _deepest_parsing(make)
                 assert np.isfinite(server.predict(make(deepest), platform))
@@ -590,7 +590,7 @@ class TestServerBreaker:
 class TestObservability:
     def test_stats_and_healthz_expose_reliability_counters(self, warm_stack):
         session, platform, sources = warm_stack
-        server = Server(session, ServerConfig(num_workers=0))
+        server = Server(session, ServerConfig())
         server.predict(sources[0], platform)
         stats = server.stats()
         for field in ("shed", "deadline_expired", "failures", "retries",
@@ -610,7 +610,7 @@ class TestObservability:
 
     def test_healthz_reports_closed(self, warm_stack):
         session, platform, _ = warm_stack
-        server = Server(session, ServerConfig(num_workers=1))
+        server = Server(session, ServerConfig())
         server.close()
         assert server.healthz()["status"] == "closed"
 

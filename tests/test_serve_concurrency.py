@@ -3,21 +3,25 @@
 The acceptance property of the re-entrant engine refactor: N threads
 hammering ``predict_batch`` on one shared :class:`repro.serve.Server` —
 with **no external lock** — produce float64 predictions bit-identical to
-the single-threaded reference.  Plus the micro-batching behaviour (single
-submits coalesce, poisoned requests don't fail their batch neighbours),
-the lifecycle (drain/close), and the satellite fixes: empty-batch dtype
-and cache ``reset_stats``.
+the single-threaded reference.  Plus the leader-combining behaviour
+(concurrent singles coalesce, poisoned requests don't fail their batch
+neighbours), the combiner's batch policy, the lifecycle (drain/close),
+and the satellite fixes: empty-batch dtype and cache ``reset_stats``.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from _coalesce import coalesce, wait_until
 from repro.api import DataConfig, ModelConfig, ReproConfig, Session, get_kernel
 from repro.ml.trainer import TrainingConfig
 from repro.pipeline import SweepConfig
-from repro.serve import Server, ServerConfig
+from repro.reliability import DeadlineExceeded
+from repro.serve import Combiner, Request, Server, ServerConfig, ShardKey
 from repro.synth import build_corpus
 
 PLATFORM = "v100"
@@ -51,18 +55,16 @@ def requests():
 
 @pytest.fixture(scope="module")
 def reference(session, requests):
-    """Single-threaded references, computed before any worker pool exists."""
+    """Single-threaded references, computed before any concurrency."""
     return session.predict_batch(requests, PLATFORM)
 
 
 class TestConcurrentPredictBatch:
     def test_threads_match_single_thread_reference_bit_for_bit(
             self, session, requests, reference):
-        """≥4 worker threads, ≥6 client threads, no lock."""
+        """6 client threads, no lock."""
         errors = []
-        config = ServerConfig(num_workers=4, max_batch_size=8,
-                              batch_window_s=0.001)
-        with Server(session, config) as server:
+        with Server(session, ServerConfig(max_batch_size=8)) as server:
             def hammer(index: int) -> None:
                 try:
                     for _ in range(3):
@@ -84,13 +86,7 @@ class TestConcurrentPredictBatch:
 
     def test_facade_and_standalone_server_agree_bitwise(
             self, session, requests, reference):
-        with Server(session, ServerConfig(num_workers=2)) as server:
-            np.testing.assert_array_equal(
-                server.predict_batch(requests, PLATFORM),
-                reference)
-
-    def test_single_worker_matches_too(self, session, requests, reference):
-        with Server(session, ServerConfig(num_workers=1)) as server:
+        with Server(session, ServerConfig()) as server:
             np.testing.assert_array_equal(
                 server.predict_batch(requests, PLATFORM),
                 reference)
@@ -98,94 +94,199 @@ class TestConcurrentPredictBatch:
 
 class TestMicroBatching:
     def test_submitted_singles_coalesce(self, session, requests, reference):
-        config = ServerConfig(num_workers=1, max_batch_size=16,
-                              batch_window_s=0.05)
-        with Server(session, config) as server:
-            futures = [server.submit(spec, PLATFORM)
-                       for spec in requests]
+        with Server(session, ServerConfig(max_batch_size=16)) as server:
+            futures = coalesce(server, PLATFORM, requests[0], requests[1:])
             values = np.array([future.result() for future in futures])
             stats = server.stats()
         # the packed forward keeps every BLAS call at solo shapes, so a
         # coalesced single is bit-identical to its solo run — whatever
-        # micro-batch composition the scheduler happened to form
+        # batch composition the callers happened to form
         np.testing.assert_array_equal(values, reference)
         assert stats.singles_submitted == len(requests)
-        assert stats.max_coalesced >= 2, "no micro-batch was ever formed"
+        assert stats.max_coalesced >= 2, "no batch was ever coalesced"
         assert stats.batches_executed < stats.singles_submitted
 
     def test_predict_routes_through_queue(self, session, requests, reference):
-        with Server(session, ServerConfig(num_workers=2)) as server:
+        with Server(session, ServerConfig()) as server:
             value = server.predict(requests[0], PLATFORM)
-        np.testing.assert_allclose(value, reference[0],
-                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(value, reference[0])
 
     def test_poisoned_request_does_not_fail_batch_neighbours(
             self, session, requests):
-        config = ServerConfig(num_workers=1, max_batch_size=8,
-                              batch_window_s=0.05)
-        with Server(session, config) as server:
-            good = [server.submit(spec, PLATFORM) for spec in requests[:3]]
-            bad = server.submit("this is } not C {", PLATFORM)
-            for future in good:
+        with Server(session, ServerConfig(max_batch_size=8)) as server:
+            head, *good, bad = coalesce(server, PLATFORM, requests[0],
+                                        [*requests[1:4], "this is } not C {"])
+            for future in [head, *good]:
                 assert np.isfinite(future.result(timeout=30))
             with pytest.raises(Exception):
                 bad.result(timeout=30)
 
+    def test_stress_settles_every_single_exactly_once(
+            self, session, requests, reference):
+        """More callers than cores, a short switch interval: a lost update
+        in the combiner shows as a hang, a wrong value or a miscount."""
+        rounds, callers = 4, 6
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Server(session, ServerConfig(max_batch_size=4)) as server:
+                def hammer(offset: int) -> None:
+                    try:
+                        for step in range(rounds * len(requests) // callers):
+                            index = (offset + step) % len(requests)
+                            got = server.predict(requests[index], PLATFORM)
+                            if got != reference[index]:
+                                errors.append(f"request {index}: {got!r}")
+                    except Exception as error:  # noqa: BLE001 - below
+                        errors.append(f"{type(error).__name__}: {error}")
 
-class TestBatcherPolicy:
-    """Queue-level scheduling properties (no model needed)."""
+                # daemon: a deadlocked caller must fail the test, not hang
+                # the interpreter's exit
+                threads = [threading.Thread(target=hammer, args=(offset,),
+                                            daemon=True)
+                           for offset in range(callers)]
+                for thread in threads:
+                    thread.start()
+                end = time.monotonic() + 60
+                for thread in threads:
+                    thread.join(timeout=max(end - time.monotonic(), 0))
+                    assert not thread.is_alive(), "a caller hung"
+                stats = server.stats()
+                assert server.drain(timeout=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        total = rounds * len(requests)
+        assert stats.singles_submitted == total
+        assert stats.requests_executed == total
+        assert stats.coalesced_total == total
+        assert stats.queue_depth == 0 and stats.failures == 0
 
-    def test_overdue_singles_are_not_starved_by_job_traffic(self):
-        from repro.serve import MicroBatcher, ShardKey
 
-        batcher = MicroBatcher(max_batch_size=4, batch_window_s=0.0)
-        key = ShardKey("platform", False)
-        batcher.enqueue_single(key, "single")
-        for _ in range(3):
-            batcher.enqueue_job(key, ["job"])
-        # the single's window (0 ms) has expired: it must be scheduled ahead
-        # of the standing job backlog, not starved behind it
-        item = batcher.next_batch()
-        assert item.kind == "singles"
-        batcher.task_done()
-        assert batcher.next_batch().kind == "job"
-        batcher.task_done()
+class TestCombinerPolicy:
+    """Queue-level batch formation and leadership (no model needed)."""
 
-    def test_fresh_singles_wait_their_window_behind_jobs(self):
-        from repro.serve import MicroBatcher, ShardKey
+    KEY = ShardKey("platform", False)
 
-        batcher = MicroBatcher(max_batch_size=4, batch_window_s=60.0)
-        key = ShardKey("platform", False)
-        batcher.enqueue_single(key, "single")
-        batcher.enqueue_job(key, ["job"])
-        item = batcher.next_batch()      # job runs while the single coalesces
-        assert item.kind == "job"
-        batcher.task_done()
+    def queued(self, combiner, *names, job=False, key=None, deadline=None):
+        requests = [Request(key or self.KEY, [name], job, deadline)
+                    for name in names]
+        for request in requests:
+            combiner.enqueue(request)
+        return requests
 
-    def test_job_scheduling_rotates_across_shards(self):
-        from repro.serve import MicroBatcher, ShardKey
+    def test_job_runs_alone_and_singles_never_queue_behind_it(self):
+        combiner = Combiner(max_batch_size=8)
+        (first,) = self.queued(combiner, "s0")
+        jobs = self.queued(combiner, "j0", "j1", job=True)
+        later = self.queued(combiner, "s1", "s2")
+        # singles and jobs queue in separate lanes: the singles batch skips
+        # the jobs queued between them, and either lane leads while the
+        # other is led
+        assert combiner.turn(later[0]) == [first, *later]
+        assert combiner.turn(jobs[0]) == [jobs[0]]   # alone, never merged
+        combiner.release(jobs[0])
+        assert combiner.turn(jobs[1]) == [jobs[1]]
+        combiner.release(jobs[1])
+        combiner.release(later[0])
+        assert combiner.wait_idle(timeout=0)
 
-        batcher = MicroBatcher(max_batch_size=4, batch_window_s=60.0)
-        first = ShardKey("first", False)
-        second = ShardKey("second", False)
-        batcher.enqueue_job(first, ["f1"])
-        batcher.enqueue_job(first, ["f2"])
-        batcher.enqueue_job(second, ["s1"])
-        served = []
-        for _ in range(3):
-            item = batcher.next_batch()
-            served.append(item.key.platform)
-            batcher.task_done()
-        # the second shard's job must not be starved behind the backlog of
-        # the first-created shard
-        assert served.index("second") < 2, served
+    def test_singles_batches_keep_fifo_order_up_to_max_batch_size(self):
+        combiner = Combiner(max_batch_size=2)
+        singles = self.queued(combiner, "a", "b", "c", "d", "e")
+        batches = []
+        for request in singles[::2]:
+            batches.append([r.specs[0] for r in combiner.turn(request)])
+            combiner.release(request)
+        assert batches == [["a", "b"], ["c", "d"], ["e"]]
+        assert combiner.pending() == 0
+
+    def test_caller_leads_only_the_batch_holding_its_request(self):
+        from repro.serve.batching import RESULT_GRACE_S
+
+        combiner = Combiner(max_batch_size=1)
+        ahead, behind = self.queued(combiner, "a", "b")
+        behind.deadline = time.monotonic() + 0.1
+        # the lane is free, but its head batch is another caller's: the
+        # caller waits for its own turn, and its deadline bounds that wait
+        start = time.monotonic()
+        assert combiner.turn(behind) is None
+        assert 0.05 < time.monotonic() - start < 0.1 + RESULT_GRACE_S
+        assert isinstance(behind.error, DeadlineExceeded)
+        assert ahead.queued and not ahead.done       # never run by `behind`
+        assert combiner.turn(ahead) == [ahead]
+        combiner.release(ahead)
+
+    def test_led_lane_cannot_be_led_twice_and_shards_lead_independently(
+            self):
+        combiner = Combiner(max_batch_size=1)
+        leader, follower = self.queued(combiner, "a", "b")
+        other = ShardKey("other", False)
+        (elsewhere,) = self.queued(combiner, "c", key=other)
+        assert combiner.turn(leader) == [leader]
+        # the first lane is led: its follower waits instead of leading,
+        # until its deadline withdraws it from the queue
+        follower.deadline = time.monotonic() + 0.05
+        assert combiner.turn(follower) is None
+        assert follower.done and isinstance(follower.error, DeadlineExceeded)
+        # meanwhile the other shard leads independently
+        assert combiner.turn(elsewhere) == [elsewhere]
+        combiner.release(elsewhere)
+        combiner.release(leader)
+
+    def test_waiting_caller_withdraws_on_deadline(self):
+        combiner = Combiner(max_batch_size=1)
+        (leader,) = self.queued(combiner, "a")
+        (waiting,) = self.queued(combiner, "b",
+                                 deadline=time.monotonic() + 0.1)
+        assert combiner.turn(leader) == [leader]
+        start = time.monotonic()
+        assert combiner.turn(waiting) is None
+        assert 0.05 < time.monotonic() - start < 0.35
+        assert waiting.done and isinstance(waiting.error, DeadlineExceeded)
+        assert combiner.pending() == 0
+        assert combiner.metrics.counter("serve.deadline_expired").value == 1
+        combiner.release(leader)
+
+    def test_leader_drops_expired_requests_of_its_batch(self):
+        combiner = Combiner(max_batch_size=8)
+        leader, expired, live = self.queued(combiner, "a", "b", "c")
+        expired.deadline = time.monotonic()     # its caller has not woken yet
+        assert combiner.turn(leader) == [leader, live]
+        assert expired.done and isinstance(expired.error, DeadlineExceeded)
+        assert combiner.metrics.counter("serve.deadline_expired").value == 1
+        assert combiner.metrics.counter("serve.coalesced_total").value == 2
+        combiner.release(leader)
+
+    def test_request_being_executed_is_awaited_up_to_its_grace(self):
+        from repro.serve.batching import RESULT_GRACE_S
+
+        combiner = Combiner(max_batch_size=8)
+        leader, taken = self.queued(combiner, "a", "b")
+        assert combiner.turn(leader) == [leader, taken]
+        start = taken.deadline = time.monotonic()
+        assert combiner.turn(taken) is None          # abandoned, not settled
+        assert RESULT_GRACE_S <= time.monotonic() - start < 1.0
+        assert not taken.done
+        combiner.release(leader)
+
+    def test_wait_idle_returns_false_in_bounded_time_while_led(self):
+        combiner = Combiner(max_batch_size=4)
+        (stuck,) = self.queued(combiner, "stuck")
+        assert combiner.turn(stuck) == [stuck]       # led, and never released
+        start = time.monotonic()
+        assert combiner.wait_idle(timeout=0.2) is False
+        elapsed = time.monotonic() - start
+        assert elapsed < 1.0, f"wait_idle overshot its timeout: {elapsed:.2f}s"
+        assert combiner.wait_idle(timeout=0) is False   # poll form
+        combiner.release(stuck)
+        assert combiner.wait_idle(timeout=1.0) is True
 
 
 class TestLifecycle:
     def test_drain_then_stats_account_everything(self, session, requests):
-        config = ServerConfig(num_workers=2, max_batch_size=4,
-                              batch_window_s=0.01)
-        with Server(session, config) as server:
+        with Server(session, ServerConfig(max_batch_size=4)) as server:
             futures = [server.submit(spec, PLATFORM) for spec in requests]
             assert server.drain(timeout=60)
             stats = server.stats()
@@ -193,40 +294,34 @@ class TestLifecycle:
             for future in futures:
                 assert future.done()
 
-    def test_close_finishes_queue_and_rejects_new_work(self, session, requests):
-        server = Server(session, ServerConfig(num_workers=1,
-                                              batch_window_s=0.05))
-        futures = [server.submit(spec, PLATFORM) for spec in requests[:4]]
-        server.close()
-        for future in futures:    # queued futures are honored, never dropped
-            assert np.isfinite(future.result(timeout=30))
-        with pytest.raises(RuntimeError, match="shut down"):
+    def test_close_finishes_queue_and_rejects_new_work(self, session, requests,
+                                                       reference):
+        from repro.serve import ServerClosedError
+
+        server = Server(session, ServerConfig(max_batch_size=2))
+        # close() lands while 4 singles are queued behind a held leader
+        outcomes = coalesce(server, PLATFORM, requests[0], requests[1:5],
+                            while_queued=server.close)
+        for index, future in enumerate(outcomes):
+            # queued requests are honored, never dropped
+            np.testing.assert_array_equal(future.result(timeout=0),
+                                          reference[index])
+        with pytest.raises(ServerClosedError, match="shut down"):
             server.predict_batch(requests, PLATFORM)
+        with pytest.raises(ServerClosedError):
+            server.submit(requests[0], PLATFORM)
         server.close()            # idempotent
 
     def test_abandoned_server_is_garbage_collected(self, session, requests):
         import gc
         import weakref
 
-        server = Server(session, ServerConfig(num_workers=2))
+        server = Server(session, ServerConfig())
         server.predict_batch(requests[:2], PLATFORM)
-        workers = list(server._workers)
         ref = weakref.ref(server)
-        del server                 # dropped without close(): workers hold no
-        gc.collect()               # strong ref, the finalizer stops the queue
+        del server                 # dropped without close()
+        gc.collect()
         assert ref() is None
-        for worker in workers:
-            worker.join(timeout=10)
-            assert not worker.is_alive()
-
-    def test_inline_server_close_rejects_new_work_too(self, session, requests):
-        server = Server(session, ServerConfig())       # num_workers=0, inline
-        assert server.predict_batch(requests[:2], PLATFORM).shape == (2,)
-        server.close()
-        with pytest.raises(RuntimeError, match="shut down"):
-            server.predict_batch(requests[:2], PLATFORM)
-        with pytest.raises(RuntimeError, match="shut down"):
-            server.submit(requests[0], PLATFORM)
 
 
 class TestTypedShutdownErrors:
@@ -234,11 +329,10 @@ class TestTypedShutdownErrors:
     the historical ``pytest.raises(RuntimeError, match="shut down")`` tests
     above keep passing unchanged)."""
 
-    def test_pooled_server_raises_typed_error_after_close(
-            self, session, requests):
+    def test_server_raises_typed_error_after_close(self, session, requests):
         from repro.serve import ServerClosedError
 
-        server = Server(session, ServerConfig(num_workers=1))
+        server = Server(session, ServerConfig())
         server.close()
         with pytest.raises(ServerClosedError):
             server.submit(requests[0], PLATFORM)
@@ -247,66 +341,109 @@ class TestTypedShutdownErrors:
         with pytest.raises(ServerClosedError):
             server.predict_batch(requests[:2], PLATFORM)
 
-    def test_inline_server_raises_typed_error_after_close(
-            self, session, requests):
-        from repro.serve import ServerClosedError
-
-        server = Server(session, ServerConfig())       # num_workers=0
-        server.close()
-        with pytest.raises(ServerClosedError):
-            server.submit(requests[0], PLATFORM)
-        with pytest.raises(ServerClosedError):
-            server.predict_batch(requests[:2], PLATFORM)
-
     def test_drain_after_close_is_well_defined(self, session, requests):
-        server = Server(session, ServerConfig(num_workers=1))
+        server = Server(session, ServerConfig())
         server.predict(requests[0], PLATFORM)
         server.close()
         assert server.drain(timeout=1.0) is True    # nothing left to drain
-        inline = Server(session, ServerConfig())
-        inline.close()
-        assert inline.drain(timeout=1.0) is True
 
 
 class TestWedgedWorkerTimeouts:
-    """wait_idle/drain must return False promptly when work is stuck —
-    a wedged worker translates into a bounded False, not a caller hang."""
-
-    def test_wait_idle_returns_false_in_bounded_time(self):
-        import time
-
-        from repro.serve import MicroBatcher, ShardKey
-
-        batcher = MicroBatcher(max_batch_size=4, batch_window_s=0.0)
-        key = ShardKey("platform", False)
-        batcher.enqueue_single(key, "stuck")
-        item = batcher.next_batch()        # a "worker" takes the item ...
-        assert item is not None            # ... and never calls task_done()
-        start = time.monotonic()
-        assert batcher.wait_idle(timeout=0.2) is False
-        elapsed = time.monotonic() - start
-        assert elapsed < 1.0, f"wait_idle overshot its timeout: {elapsed:.2f}s"
-        assert batcher.wait_idle(timeout=0) is False   # poll form
-        batcher.task_done()
-        assert batcher.wait_idle(timeout=1.0) is True
+    """drain and waiting callers return promptly when a leader is stuck —
+    a wedged or slow leader translates into a bounded False or a typed
+    deadline error, not a caller hang — and a caller only ever waits on
+    its own lane."""
 
     def test_drain_timeout_with_wedged_worker(self, session, requests):
-        import time
-
         from repro.reliability import FaultPlan, FaultSpec, inject_faults
         from repro.reliability.faults import SITE_WORKER
 
         plan = FaultPlan(41, [FaultSpec(SITE_WORKER, "delay", 1.0,
-                                        delay_s=1.0)])
-        config = ServerConfig(num_workers=1, max_batch_size=1,
-                              batch_window_s=0.0)
+                                        delay_s=1.0, max_fires=1)])
+        server = Server(session, ServerConfig(max_batch_size=1))
+        held = []
         with inject_faults(plan):
-            with Server(session, config) as server:
-                future = server.submit(requests[0], PLATFORM)
-                start = time.monotonic()
-                assert server.drain(timeout=0.1) is False
-                assert time.monotonic() - start < 0.9
-                assert np.isfinite(future.result(timeout=30))
+            leader = threading.Thread(target=lambda: held.append(
+                server.submit(requests[0], PLATFORM)))
+            leader.start()
+            wait_until(lambda: server.stats().batches_executed >= 1)
+            start = time.monotonic()
+            assert server.drain(timeout=0.1) is False
+            assert time.monotonic() - start < 0.9
+            # a caller queued behind the wedged leader gets its deadline
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                server.predict(requests[1], PLATFORM, deadline_s=0.2)
+            assert time.monotonic() - start < 0.2 + 0.25
+            leader.join(timeout=30)
+            assert not leader.is_alive()
+        assert np.isfinite(held[0].result(timeout=0))
+        assert server.drain(timeout=1.0) is True
+
+    def test_queued_job_caller_never_runs_other_callers_jobs(
+            self, session, requests):
+        """A caller's deadline bounds its own wait even when its lane frees
+        up while another caller's job is still queued ahead of it."""
+        from repro.reliability import FaultPlan, FaultSpec, inject_faults
+        from repro.reliability.faults import SITE_WORKER
+        from repro.serve.batching import RESULT_GRACE_S
+
+        # every batch holds its leader for 0.5 s
+        plan = FaultPlan(41, [FaultSpec(SITE_WORKER, "delay", 1.0,
+                                        delay_s=0.5)])
+        server = Server(session, ServerConfig())
+        outcomes = {}
+
+        def job(name, deadline_s):
+            start = time.monotonic()
+            try:
+                server.predict_batch(requests, PLATFORM,
+                                     deadline_s=deadline_s)
+                outcomes[name] = (None, time.monotonic() - start)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                outcomes[name] = (error, time.monotonic() - start)
+
+        threads = []
+        with inject_faults(plan):
+            for name, deadline_s in (("first", None), ("second", None),
+                                     ("bounded", 0.7)):
+                threads.append(threading.Thread(
+                    target=job, args=(name, deadline_s), daemon=True))
+                threads[-1].start()
+                # queue strictly in order: first, second, bounded
+                wait_until(lambda: server.stats().jobs_submitted
+                           == len(threads))
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "a caller hung"
+        error, elapsed = outcomes["bounded"]
+        assert isinstance(error, DeadlineExceeded)
+        assert elapsed < 0.7 + RESULT_GRACE_S
+        assert outcomes["first"][0] is None and outcomes["second"][0] is None
+        stats = server.stats()
+        assert stats.requests_executed == 2 * len(requests)
+        assert stats.deadline_expired == len(requests)
+
+    def test_single_never_waits_behind_a_job(self, session, requests,
+                                             reference):
+        from repro.reliability import FaultPlan, FaultSpec, inject_faults
+        from repro.reliability.faults import SITE_WORKER
+
+        plan = FaultPlan(41, [FaultSpec(SITE_WORKER, "delay", 1.0,
+                                        delay_s=1.0, max_fires=1)])
+        server = Server(session, ServerConfig())
+        with inject_faults(plan):
+            job = threading.Thread(target=server.predict_batch,
+                                   args=(requests, PLATFORM), daemon=True)
+            job.start()
+            wait_until(lambda: server.stats().batches_executed >= 1)
+            # the job's leader is held; the single runs in its own lane
+            start = time.monotonic()
+            value = server.predict(requests[0], PLATFORM, deadline_s=0.5)
+            assert time.monotonic() - start < 0.5
+            job.join(timeout=30)
+            assert not job.is_alive()
+        np.testing.assert_array_equal(value, reference[0])
 
 
 class TestPoisonedBatchRetryPath:
@@ -318,76 +455,62 @@ class TestPoisonedBatchRetryPath:
             self, session, requests, reference):
         from repro.clang.parser import ParseError
 
-        config = ServerConfig(num_workers=1, max_batch_size=8,
-                              batch_window_s=0.05)
-        with Server(session, config) as server:
-            good = [server.submit(spec, PLATFORM)
-                    for spec in requests[:3]]
-            bad = server.submit("this is } not C {", PLATFORM)
-            # coalesced singles match to BLAS rounding (bit-identity is the
-            # predict_batch job contract, not the coalescing one)
-            for index, future in enumerate(good):
-                np.testing.assert_allclose(future.result(timeout=30),
-                                           reference[index],
-                                           rtol=1e-12)
+        with Server(session, ServerConfig(max_batch_size=8)) as server:
+            head, *good, bad = coalesce(server, PLATFORM, requests[0],
+                                        [*requests[1:3], "this is } not C {"])
+            for index, future in enumerate([head, *good]):
+                np.testing.assert_array_equal(future.result(timeout=30),
+                                              reference[index])
             with pytest.raises(ParseError):
                 bad.result(timeout=30)
             stats = server.stats()
+            assert stats.max_coalesced == 3
             assert stats.failures == 1
             assert stats.retries == 0, \
                 "a deterministic parse error must not be retried"
 
     def test_transient_neighbour_faults_recover_in_batch(
             self, session, requests, reference):
-        from repro.reliability import FaultPlan, FaultSpec, inject_faults
+        from repro.clang.parser import ParseError
+        from repro.reliability import FaultSpec
         from repro.reliability.faults import SITE_FORWARD
 
-        # the whole batch fails its first forward, gets split, and each
-        # single then succeeds (possibly after its own retry)
-        plan = FaultPlan(43, [FaultSpec(SITE_FORWARD, "raise", 1.0,
-                                        max_fires=1)])
-        config = ServerConfig(num_workers=1, max_batch_size=8,
-                              batch_window_s=0.05, max_retries=2,
+        # the held head fails at parse, before any forward; the coalesced
+        # batch behind it then fails its first forward and is retried, so
+        # every single still succeeds bit for bit
+        config = ServerConfig(max_batch_size=8, max_retries=2,
                               retry_backoff_s=0.0)
-        with inject_faults(plan):
-            with Server(session, config) as server:
-                futures = [server.submit(spec, PLATFORM)
-                           for spec in requests[:3]]
-                for index, future in enumerate(futures):
-                    np.testing.assert_allclose(future.result(timeout=30),
-                                               reference[index],
-                                               rtol=1e-12)
-                assert server.stats().retries >= 1
-                assert server.stats().failures == 0
+        with Server(session, config) as server:
+            head, *futures = coalesce(
+                server, PLATFORM, "this is } not C {", requests[:3],
+                faults=[FaultSpec(SITE_FORWARD, "raise", 1.0, max_fires=1)],
+                seed=43)
+            with pytest.raises(ParseError):
+                head.result(timeout=30)
+            for index, future in enumerate(futures):
+                np.testing.assert_array_equal(future.result(timeout=30),
+                                              reference[index])
+            stats = server.stats()
+            assert stats.max_coalesced == 3
+            assert stats.retries >= 1
+            assert stats.failures == 1            # the head's parse error
 
 
 class TestPackedForward:
-    """The packed block-diagonal serving path (ServerConfig.packed_forward)."""
+    """The packed block-diagonal serving path."""
 
     def test_packed_batch_matches_per_graph_loop_bit_for_bit(
             self, session, requests):
-        legacy = Server(session, ServerConfig(packed_forward=False))
-        packed = Server(session, ServerConfig())        # packed is the default
+        from repro.ml.dataset import GraphDataset
+
+        trainer = session.trainer_for(PLATFORM)
         per_graph = np.concatenate(
-            [legacy.predict_batch([spec], PLATFORM)
+            [trainer.predict(GraphDataset([session.encode_source(spec)]))
              for spec in requests])
-        np.testing.assert_array_equal(
-            packed.predict_batch(requests, PLATFORM), per_graph,
-            err_msg="packed forward diverged from the per-graph loop")
-
-    def test_packed_forward_can_be_disabled(self, session, requests, reference):
-        with Server(session, ServerConfig(num_workers=1,
-                                          packed_forward=False)) as server:
-            got = server.predict_batch(requests, PLATFORM)
-        # the legacy collated loop matches only to BLAS rounding: batch
-        # composition changes the GEMM shapes there
-        np.testing.assert_allclose(got, reference, rtol=1e-9)
-
-    def test_packed_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PACKED", "0")
-        assert ServerConfig.from_env().packed_forward is False
-        monkeypatch.setenv("REPRO_SERVE_PACKED", "true")
-        assert ServerConfig.from_env().packed_forward is True
+        with Server(session, ServerConfig()) as server:
+            np.testing.assert_array_equal(
+                server.predict_batch(requests, PLATFORM), per_graph,
+                err_msg="packed forward diverged from the per-graph loop")
 
 
 class TestServerConfigFromEnv:
@@ -395,27 +518,21 @@ class TestServerConfigFromEnv:
     the offending variable, never a bare parse traceback."""
 
     VALID = [
-        ("REPRO_SERVE_WORKERS", "3", "num_workers", 3),
         ("REPRO_SERVE_MAX_BATCH", "16", "max_batch_size", 16),
-        ("REPRO_SERVE_WINDOW_MS", "5", "batch_window_s", 0.005),
         ("REPRO_SERVE_DEADLINE_MS", "250", "default_deadline_s", 0.25),
         ("REPRO_SERVE_MAX_QUEUE", "9", "max_queue_depth", 9),
         ("REPRO_SERVE_MAX_RETRIES", "1", "max_retries", 1),
         ("REPRO_SERVE_BREAKER_THRESHOLD", "4", "breaker_threshold", 4),
         ("REPRO_SERVE_BREAKER_RESET_MS", "1500", "breaker_reset_s", 1.5),
-        ("REPRO_SERVE_PACKED", "no", "packed_forward", False),
     ]
 
     MALFORMED = [
-        ("REPRO_SERVE_WORKERS", "three"),
         ("REPRO_SERVE_MAX_BATCH", "4.5"),
-        ("REPRO_SERVE_WINDOW_MS", "soon"),
         ("REPRO_SERVE_DEADLINE_MS", "1e"),
         ("REPRO_SERVE_MAX_QUEUE", ""),      # blank-after-strip keeps default
         ("REPRO_SERVE_MAX_RETRIES", "none"),
         ("REPRO_SERVE_BREAKER_THRESHOLD", "0x8"),
         ("REPRO_SERVE_BREAKER_RESET_MS", "5,0"),
-        ("REPRO_SERVE_PACKED", "maybe"),
     ]
 
     @pytest.mark.parametrize("name,raw,attr,expected", VALID)
@@ -444,48 +561,24 @@ class TestServerConfigFromEnv:
 
 
 class TestExpiredRequestInPackedBatch:
-    """Satellite: one already-expired request in a coalesced batch is
-    dropped alone at dequeue — it must not poison or delay its neighbours."""
-
-    def test_batcher_drops_only_the_expired_single(self):
-        import time
-
-        from repro.reliability import DeadlineExceeded
-        from repro.serve import MicroBatcher, ShardKey
-
-        batcher = MicroBatcher(max_batch_size=8, batch_window_s=0.0)
-        key = ShardKey("platform", False)
-        expired = batcher.enqueue_single(key, "expired",
-                                         deadline=time.monotonic() - 1.0)
-        live = [batcher.enqueue_single(key, f"live-{i}") for i in range(3)]
-        item = batcher.next_batch()
-        assert item is not None and item.kind == "singles"
-        assert item.specs == ["live-0", "live-1", "live-2"]
-        batcher.task_done()
-        with pytest.raises(DeadlineExceeded):
-            expired.result(timeout=1.0)
-        assert all(not future.done() for future in live)
-        assert batcher.stats().deadline_expired == 1
+    """Satellite: one expired request among coalescing neighbours leaves
+    alone — it must not poison or delay the batch its neighbours form."""
 
     def test_live_neighbours_survive_bit_for_bit(self, session, requests,
                                                  reference):
-        from repro.reliability import DeadlineExceeded
-
-        config = ServerConfig(num_workers=1, max_batch_size=8,
-                              batch_window_s=0.1)
-        with Server(session, config) as server:
-            expired = server.submit(requests[0], PLATFORM,
-                                    deadline_s=0.0)
-            live = [server.submit(spec, PLATFORM)
-                    for spec in requests[1:4]]
-            for index, future in enumerate(live, start=1):
+        with Server(session, ServerConfig(max_batch_size=8)) as server:
+            head, expired, *live = coalesce(
+                server, PLATFORM, requests[0], requests[:4],
+                deadlines=[0.0, None, None, None], wait_queued=3)
+            with pytest.raises(DeadlineExceeded):
+                expired.result(timeout=0)
+            for index, future in enumerate([head, *live]):
                 np.testing.assert_array_equal(future.result(timeout=30),
                                               reference[index])
-            with pytest.raises(DeadlineExceeded):
-                expired.result(timeout=10.0)
             stats = server.stats()
         assert stats.deadline_expired == 1
         assert stats.failures == 0
+        assert stats.max_coalesced == 3
 
 
 class TestSessionFacadeSatellites:
@@ -519,21 +612,3 @@ class TestSessionFacadeSatellites:
         session.clear_cache(reset_stats=True)
         info = session.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
-
-    def test_session_embeds_worker_pool_from_config(self, requests, reference):
-        session = Session(tiny_config(),
-                          serve_config=ServerConfig(num_workers=2))
-        try:
-            got = session.predict_batch(requests, PLATFORM)
-            np.testing.assert_array_equal(got, reference)
-            assert session.server().config.num_workers == 2
-        finally:
-            session.close()
-
-    def test_workers_env_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
-        session = Session(tiny_config())
-        try:
-            assert session.server().config.num_workers == 3
-        finally:
-            session.close()

@@ -361,8 +361,8 @@ class TestWarmStartServing:
             np.testing.assert_array_equal(
                 loaded.predict_batch(SOURCES, PLATFORM),
                 reference)
-            # ...and through a real multi-worker server
-            with Server(loaded, ServerConfig(num_workers=2)) as server:
+            # ...and through a standalone server
+            with Server(loaded, ServerConfig()) as server:
                 np.testing.assert_array_equal(
                     server.predict_batch(SOURCES, PLATFORM),
                     reference)
@@ -429,8 +429,7 @@ class TestWarmStartServing:
 
     def test_server_from_artifact(self, trained_session, artifact):
         reference = trained_session.predict_batch(SOURCES, PLATFORM)
-        with Server.from_artifact(artifact,
-                                  ServerConfig(num_workers=1)) as server:
+        with Server.from_artifact(artifact, ServerConfig()) as server:
             np.testing.assert_array_equal(
                 server.predict_batch(SOURCES, PLATFORM),
                 reference)
