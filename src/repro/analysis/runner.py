@@ -1,7 +1,7 @@
 """The :class:`AnalyzerRunner` — parse once, fan out to every checker.
 
-The runner owns the per-translation-unit pipeline (lex → parse →
-``set_parents`` → ``resolve_references``), computes the shared
+The runner owns the per-translation-unit pipeline (lex → parse, which
+links parents → ``resolve_references``), computes the shared
 :class:`~repro.analysis.dataflow.FunctionFacts` once per function, then
 hands the same :class:`~repro.analysis.base.AnalysisContext` to each
 selected checker.  Frontend failures (lexer, parser, pragma errors) never
@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
-from ..clang.ast_nodes import FunctionDecl, set_parents
+from ..clang.ast_nodes import FunctionDecl
 from ..clang.lexer import LexError
 from ..clang.parser import ParseError, parse_source
 from ..clang.pragmas import PragmaError
@@ -81,7 +81,6 @@ class AnalyzerRunner:
             )
             return Report(issues=(issue,), files=(file,),
                           checkers=tuple(self.checker_names))
-        set_parents(tu)
         resolve_references(tu, strict=False)
         issues: List[Issue] = []
         for function in tu.children:

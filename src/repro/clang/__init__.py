@@ -9,7 +9,7 @@ trip-count analysis) and traversal / dumping utilities.
 """
 
 from .ast_nodes import *  # noqa: F401,F403 - re-export the node vocabulary
-from .lexer import Lexer, LexError, Token, TokenKind, tokenize
+from .lexer import LexError, Token, TokenKind, tokenize
 from .parser import ParseError, Parser, parse_snippet, parse_source
 from .pragmas import PragmaError, parse_omp_pragma
 from .semantics import (

@@ -19,10 +19,16 @@ Every node derives from :class:`ASTNode` which provides:
 
 Node identity (``id(node)``) is used as the graph vertex key; nodes are
 deliberately *not* value-comparable.
+
+A tree holds only downward references: ``parent`` is a weak reference, so
+reference counting frees a tree as soon as its last outside reference goes,
+without waiting for the cyclic garbage collector.  A subtree kept after its
+ancestors are dropped reports ``parent`` as ``None``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 
@@ -44,9 +50,19 @@ class ASTNode:
         self.spelling = spelling
         self.location = location
         self.token_index = token_index
-        self.parent: Optional[ASTNode] = None
+        self._parent: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------ #
+    @property
+    def parent(self) -> Optional["ASTNode"]:
+        """The enclosing node, or ``None`` at the root (or once it is freed)."""
+        ref = self._parent
+        return None if ref is None else ref()
+
+    @parent.setter
+    def parent(self, node: Optional["ASTNode"]) -> None:
+        self._parent = None if node is None else weakref.ref(node)
+
     @property
     def kind(self) -> str:
         """Clang-style node kind name (the class name)."""
@@ -90,9 +106,11 @@ class ASTNode:
 def set_parents(root: ASTNode) -> ASTNode:
     """Fill in ``parent`` back-pointers for an entire tree and return *root*."""
     for node in root.walk():
-        for child in node.children:
-            child.parent = node
-    root.parent = None
+        if node.children:
+            ref = weakref.ref(node)
+            for child in node.children:
+                child._parent = ref
+    root._parent = None
     return root
 
 

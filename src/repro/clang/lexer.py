@@ -19,13 +19,21 @@ The lexer understands:
 
 Tokens carry their source location so the AST — and therefore ParaGraph —
 can preserve the left-to-right token order required for ``NextToken`` edges.
+
+The whole scanner is one compiled regular expression whose alternatives are
+tried in priority order at each position; line and column come from match
+offsets.  Every repeated part of a pattern has one way to consume each
+character, so matching stays linear in the input length.  Numbers are
+ASCII digits; identifiers start with any word character but a decimal
+digit and continue with word characters (C11 Annex D allows Unicode
+identifiers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
-from typing import Iterator, List, Optional
+from typing import List, NamedTuple
 
 
 class LexError(Exception):
@@ -73,8 +81,7 @@ _PUNCTUATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     Attributes
@@ -109,217 +116,100 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Stateful scanner over a source string.
+#: (group name, pattern) in priority order; the first alternative that
+#: matches at a position wins.  Group names ending in ``_ERROR`` raise.
+_TOKEN_PATTERNS = [
+    # whitespace and comments (skipped)
+    ("SKIP", r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"),
+    ("COMMENT_ERROR", r"/\*"),
+    # a preprocessor line, with backslash-newline continuations
+    ("DIRECTIVE", r"#(?:[^\\\n]|\\\n?)*"),
+    # hex: float only through an ``f`` suffix after ``u``/``l`` (``0x1uf``)
+    ("HEX", r"0[xX][0-9a-fA-F]*(?P<HEX_SUFFIX>[uUlLfF]*)"),
+    # a decimal literal is a float with a ``.``, an exponent or an ``f`` suffix
+    ("FLOAT", r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[uUlLfF]*"
+              r"|[0-9]+(?:[eE][+-]?[0-9]+[uUlLfF]*|[uUlL]*[fF][uUlLfF]*)"),
+    ("INT", r"[0-9]+[uUlL]*"),
+    ("NAME", r"[^\W\d]\w*"),
+    ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
+    ("CHAR", r"'(?:[^'\\\n]|\\.)*'"),
+    # a literal whose closing quote never comes: the match ends where the
+    # scan stopped (an unescaped newline, or the end of the input)
+    ("QUOTE_ERROR", r'"(?:[^"\\\n]|\\.)*' + r"|'(?:[^'\\\n]|\\.)*"),
+    ("PUNCT", "|".join(map(re.escape, _PUNCTUATORS))),
+    ("CHAR_ERROR", r"."),
+]
 
-    The public entry point is :meth:`tokenize`; :func:`tokenize` is the
-    module-level convenience wrapper.
-    """
+_TOKEN_RE = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_PATTERNS),
+    re.DOTALL,
+)
 
-    def __init__(self, source: str, filename: str = "<source>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self._tokens: List[Token] = []
+_KINDS = {
+    "INT": TokenKind.INT_LITERAL,
+    "FLOAT": TokenKind.FLOAT_LITERAL,
+    "STRING": TokenKind.STRING_LITERAL,
+    "CHAR": TokenKind.CHAR_LITERAL,
+}
 
-    # ------------------------------------------------------------------ #
-    # low-level cursor helpers
-    # ------------------------------------------------------------------ #
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
+#: groups whose text can contain a newline
+_MULTILINE = frozenset({"SKIP", "DIRECTIVE", "STRING", "CHAR"})
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
 
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
+def _error_at(source: str, offset: int, message: str) -> LexError:
+    line = source.count("\n", 0, offset) + 1
+    return LexError(message, line, offset - source.rfind("\n", 0, offset))
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.column)
 
-    # ------------------------------------------------------------------ #
-    # whitespace / comments / preprocessor
-    # ------------------------------------------------------------------ #
-    def _skip_trivia(self) -> Optional[Token]:
-        """Skip whitespace and comments; return a PRAGMA token when one is found."""
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while not self._at_end() and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self._at_end():
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-                continue
-            if ch == "#":
-                pragma = self._lex_preprocessor_line()
-                if pragma is not None:
-                    return pragma
-                continue
-            break
-        return None
-
-    def _lex_preprocessor_line(self) -> Optional[Token]:
-        """Consume a ``#...`` line.
-
-        ``#pragma`` lines become PRAGMA tokens; other directives are ignored.
-        Line continuations (backslash-newline) are honoured.
-        """
-        line, column = self.line, self.column
-        self._advance()  # '#'
-        body_chars: List[str] = []
-        while not self._at_end():
-            ch = self._peek()
-            if ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                body_chars.append(" ")
-                continue
-            if ch == "\n":
-                break
-            body_chars.append(ch)
-            self._advance()
-        body = "".join(body_chars).strip()
-        if body.startswith("pragma"):
-            text = body[len("pragma"):].strip()
-            return Token(TokenKind.PRAGMA, text, line, column)
-        return None
-
-    # ------------------------------------------------------------------ #
-    # literal scanners
-    # ------------------------------------------------------------------ #
-    def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        is_float = False
-        src = self.source
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while not self._at_end() and (self._peek() in "0123456789abcdefABCDEF"):
-                self._advance()
-        else:
-            while not self._at_end() and self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1).isdigit():
-                is_float = True
-                self._advance()
-                while not self._at_end() and self._peek().isdigit():
-                    self._advance()
-            elif self._peek() == ".":
-                is_float = True
-                self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while not self._at_end() and self._peek().isdigit():
-                    self._advance()
-        # suffixes
-        while not self._at_end() and self._peek() in "uUlLfF":
-            if self._peek() in "fF":
-                is_float = True
-            self._advance()
-        text = src[start : self.pos]
-        kind = TokenKind.FLOAT_LITERAL if is_float else TokenKind.INT_LITERAL
-        return Token(kind, text, line, column)
-
-    def _lex_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        return Token(kind, text, line, column)
-
-    def _lex_quoted(self, quote: str, kind: TokenKind) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # opening quote
-        while not self._at_end() and self._peek() != quote:
-            if self._peek() == "\\":
-                self._advance(2)
-            else:
-                if self._peek() == "\n":
-                    raise self._error("unterminated literal")
-                self._advance()
-        if self._at_end():
-            raise self._error("unterminated literal")
-        self._advance()  # closing quote
-        return Token(kind, self.source[start : self.pos], line, column)
-
-    def _lex_punctuator(self) -> Token:
-        line, column = self.line, self.column
-        for punct in _PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCTUATOR, punct, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # ------------------------------------------------------------------ #
-    # main loop
-    # ------------------------------------------------------------------ #
-    def _next_token(self) -> Token:
-        pragma = self._skip_trivia()
-        if pragma is not None:
-            return pragma
-        if self._at_end():
-            return Token(TokenKind.EOF, "", self.line, self.column)
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier()
-        if ch == '"':
-            return self._lex_quoted('"', TokenKind.STRING_LITERAL)
-        if ch == "'":
-            return self._lex_quoted("'", TokenKind.CHAR_LITERAL)
-        return self._lex_punctuator()
-
-    def tokenize(self) -> List[Token]:
-        """Tokenize the whole source, returning tokens ending with EOF."""
-        tokens: List[Token] = []
-        while True:
-            token = self._next_token()
-            token = Token(
-                token.kind, token.text, token.line, token.column, index=len(tokens)
-            )
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                break
-        self._tokens = tokens
-        return tokens
-
-    def __iter__(self) -> Iterator[Token]:  # pragma: no cover - convenience
-        return iter(self.tokenize())
+def _lex_error(source: str, match: "re.Match[str]") -> LexError:
+    group = match.lastgroup
+    if group == "COMMENT_ERROR":
+        return _error_at(source, len(source), "unterminated block comment")
+    if group == "QUOTE_ERROR":
+        stop = match.end()
+        if not source.startswith("\n", stop):
+            stop = len(source)      # ran out of input (maybe after a ``\``)
+        return _error_at(source, stop, "unterminated literal")
+    return _error_at(source, match.start(),
+                     f"unexpected character {match.group()!r}")
 
 
 def tokenize(source: str, filename: str = "<source>") -> List[Token]:
     """Tokenize *source* and return the token list (terminated by EOF)."""
-    return Lexer(source, filename).tokenize()
+    tokens: List[Token] = []
+    line = 1
+    line_start = 0                  # offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        text = match.group()
+        if group == "PUNCT":
+            kind = TokenKind.PUNCTUATOR
+        elif group == "NAME":
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+        elif group in _MULTILINE:
+            start = match.start()
+            if group == "DIRECTIVE":
+                body = text[1:].replace("\\\n", " ").strip()
+                if body.startswith("pragma"):
+                    tokens.append(Token(TokenKind.PRAGMA, body[len("pragma"):].strip(),
+                                        line, start - line_start + 1, len(tokens)))
+            elif group != "SKIP":
+                tokens.append(Token(_KINDS[group], text, line, start - line_start + 1,
+                                    len(tokens)))
+            newline = text.rfind("\n")
+            if newline >= 0:
+                line += text.count("\n")
+                line_start = start + newline + 1
+            continue
+        elif group == "HEX":
+            suffix = match.group("HEX_SUFFIX")
+            kind = TokenKind.FLOAT_LITERAL if "f" in suffix or "F" in suffix \
+                else TokenKind.INT_LITERAL
+        else:
+            kind = _KINDS.get(group)
+            if kind is None:
+                raise _lex_error(source, match)
+        tokens.append(Token(kind, text, line, match.start() - line_start + 1, len(tokens)))
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1,
+                        len(tokens)))
+    return tokens

@@ -106,6 +106,50 @@ _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<
 MAX_DEPTH = 600
 
 
+#: Largest value of a C integer constant (``unsigned long long``).
+_MAX_INTEGER = 2 ** 64 - 1
+
+#: Longest digit string (leading zeros dropped) that can stay within
+#: :data:`_MAX_INTEGER`, per base; checked before conversion so a
+#: thousands-digit literal costs nothing.
+_MAX_DIGITS = {16: 16, 10: 20, 8: 22}
+
+
+def _integer_value(token: Token) -> int:
+    """The value of an integer literal by C's rules.
+
+    ``0x``/``0X`` is hex, a leading ``0`` is octal, anything else decimal;
+    ``u``/``l`` suffixes are dropped.  A bad octal digit, a hex prefix
+    without digits or a value above 2**64 - 1 is a located
+    :class:`ParseError`.
+    """
+    text = token.text.rstrip("uUlL")
+    if text[:2] in ("0x", "0X"):
+        digits, base = text[2:], 16
+        if not digits:
+            raise ParseError("hexadecimal literal without digits", token)
+    elif text[:1] == "0":
+        digits, base = text, 8
+        if "8" in digits or "9" in digits:
+            raise ParseError("invalid digit in octal literal", token)
+    else:
+        digits, base = text, 10
+    if len(digits.lstrip("0")) <= _MAX_DIGITS[base]:
+        value = int(digits, base)
+        if value <= _MAX_INTEGER:
+            return value
+    raise ParseError("integer literal too large", token)
+
+
+def _floating_value(token: Token) -> float:
+    """The value of a floating literal; a malformed one is a :class:`ParseError`."""
+    try:
+        return float(token.text.rstrip("fFlL"))
+    except ValueError:
+        # an integer suffix on a float (``1.5u``) or a hex body (``0x1uf``)
+        raise ParseError("invalid floating literal", token) from None
+
+
 class Parser:
     """Token-stream parser.  One instance per parse."""
 
@@ -121,8 +165,9 @@ class Parser:
     # token helpers
     # ------------------------------------------------------------------ #
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]        # _advance never moves past EOF
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -373,12 +418,14 @@ class Parser:
             expr = self._parse_primary()
             while True:
                 token = self._peek()
-                if token.is_punct("["):
+                if token.kind is not TokenKind.PUNCTUATOR:
+                    break
+                if token.text == "[":
                     self._advance()
                     index = self.parse_expression()
                     self._expect_punct("]")
                     expr = ArraySubscriptExpr(expr, index, location=self._loc(token))
-                elif token.is_punct("("):
+                elif token.text == "(":
                     self._advance()
                     args: List[ASTNode] = []
                     while not self._check_punct(")"):
@@ -387,7 +434,7 @@ class Parser:
                             break
                     self._expect_punct(")")
                     expr = CallExpr(expr, args, location=self._loc(token))
-                elif token.is_punct(".") or token.is_punct("->"):
+                elif token.text == "." or token.text == "->":
                     self._advance()
                     member = self._peek()
                     if member.kind is not TokenKind.IDENTIFIER:
@@ -395,7 +442,7 @@ class Parser:
                     self._advance()
                     expr = MemberExpr(expr, member.text, token.text == "->",
                                       location=self._loc(token), token_index=member.index)
-                elif token.is_punct("++") or token.is_punct("--"):
+                elif token.text == "++" or token.text == "--":
                     self._advance()
                     expr = UnaryOperator(token.text, expr, prefix=False,
                                          location=self._loc(token), token_index=token.index)
@@ -412,15 +459,12 @@ class Parser:
             token = self._peek()
             if token.kind is TokenKind.INT_LITERAL:
                 self._advance()
-                text = token.text.rstrip("uUlL")
-                value = int(text, 0) if text else 0
-                return IntegerLiteral(value, token.text, location=self._loc(token),
-                                      token_index=token.index)
+                return IntegerLiteral(_integer_value(token), token.text,
+                                      location=self._loc(token), token_index=token.index)
             if token.kind is TokenKind.FLOAT_LITERAL:
                 self._advance()
-                text = token.text.rstrip("fFlL")
-                return FloatingLiteral(float(text), token.text, location=self._loc(token),
-                                       token_index=token.index)
+                return FloatingLiteral(_floating_value(token), token.text,
+                                       location=self._loc(token), token_index=token.index)
             if token.kind is TokenKind.CHAR_LITERAL:
                 self._advance()
                 return CharacterLiteral(token.text, location=self._loc(token),

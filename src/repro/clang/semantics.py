@@ -39,7 +39,6 @@ from .ast_nodes import (
     SizeOfExpr,
     UnaryOperator,
     VarDecl,
-    set_parents,
 )
 
 Number = Union[int, float]
@@ -145,11 +144,8 @@ def resolve_references(root: ASTNode, strict: bool = False) -> int:
 # ---------------------------------------------------------------------- #
 # implicit cast insertion
 # ---------------------------------------------------------------------- #
-def _needs_cast(node: DeclRefExpr) -> bool:
+def _needs_cast(node: DeclRefExpr, parent: ASTNode) -> bool:
     """Decide whether a DeclRefExpr is used as an rvalue."""
-    parent = node.parent
-    if parent is None:
-        return False
     if isinstance(parent, BinaryOperator) and parent.is_assignment and parent.lhs is node:
         return False
     if isinstance(parent, UnaryOperator) and parent.opcode in {"&", "++", "--"}:
@@ -168,24 +164,27 @@ def _needs_cast(node: DeclRefExpr) -> bool:
 def insert_implicit_casts(root: ASTNode) -> int:
     """Wrap rvalue ``DeclRefExpr`` uses in ``ImplicitCastExpr`` nodes.
 
-    Returns the number of casts inserted.  The tree's parent pointers are
-    refreshed afterwards.
+    Returns the number of casts inserted.  The pass finds each reference's
+    parent by walking the tree itself, so it also works on trees without
+    ``parent`` links; it sets the two links each insertion changes (cast →
+    parent, reference → cast).
     """
-    set_parents(root)
     inserted = 0
-    for node in list(root.walk()):
+    stack = [(child, root) for child in reversed(root.children)]
+    while stack:
+        node, parent = stack.pop()
         if not isinstance(node, DeclRefExpr):
+            stack.extend((child, node) for child in reversed(node.children))
             continue
-        if not _needs_cast(node):
-            continue
-        parent = node.parent
-        if parent is None:
+        if not _needs_cast(node, parent):
             continue
         is_array_base = isinstance(parent, ArraySubscriptExpr) and parent.base is node
         cast_kind = "ArrayToPointerDecay" if is_array_base else "LValueToRValue"
         cast = ImplicitCastExpr(node, cast_kind, location=node.location,
                                 token_index=node.token_index)
         parent.replace_child(node, cast)
+        cast.parent = parent
+        node.parent = cast
         # keep the structured accessors in sync with the children list
         for attr in ("lhs", "rhs", "operand", "cond", "base", "index", "init",
                      "inc", "body", "callee", "true_expr", "false_expr", "inner",
@@ -195,7 +194,6 @@ def insert_implicit_casts(root: ASTNode) -> int:
         if isinstance(parent, CallExpr):
             parent.args = [cast if a is node else a for a in parent.args]
         inserted += 1
-    set_parents(root)
     return inserted
 
 
@@ -229,6 +227,23 @@ class ConstantEnvironment:
         return f"ConstantEnvironment({self.values!r})"
 
 
+#: Folded constants must fit a 64-bit integer (signed or unsigned).  A
+#: value outside this range — or a NaN or infinity — is "not statically
+#: evaluable", so a loop bounded by it falls back to the default trip
+#: count, and no fold ever works on numbers wider than 128 bits.
+_MIN_CONSTANT = -(2 ** 63)
+_MAX_CONSTANT = 2 ** 64 - 1
+
+
+def _shift(value: Number, count: Number, left: bool) -> Optional[int]:
+    # shift counts outside 0..63 leave 64 bits (and ``1 << 8000000`` would
+    # allocate a megabyte); a negative count raises in Python
+    count = int(count)
+    if not 0 <= count <= 63:
+        return None
+    return int(value) << count if left else int(value) >> count
+
+
 _FOLDABLE_BINOPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -238,8 +253,8 @@ _FOLDABLE_BINOPS = {
     # folded ``x / 0`` must never pretend to be 0.
     "/": lambda a, b: a / b if isinstance(a, float) or isinstance(b, float) else a // b,
     "%": lambda a, b: a % b,
-    "<<": lambda a, b: int(a) << int(b),
-    ">>": lambda a, b: int(a) >> int(b),
+    "<<": lambda a, b: _shift(a, b, left=True),
+    ">>": lambda a, b: _shift(a, b, left=False),
     "<": lambda a, b: int(a < b),
     ">": lambda a, b: int(a > b),
     "<=": lambda a, b: int(a <= b),
@@ -254,6 +269,10 @@ _FOLDABLE_BINOPS = {
 }
 
 
+def _bounded(value: Number) -> Optional[Number]:
+    return value if _MIN_CONSTANT <= value <= _MAX_CONSTANT else None   # NaN fails
+
+
 def evaluate_constant(
     node: Optional[ASTNode],
     env: Optional[ConstantEnvironment] = None,
@@ -261,21 +280,20 @@ def evaluate_constant(
     """Try to evaluate *node* to a numeric constant.
 
     Returns ``None`` when the expression is not statically evaluable with the
-    provided environment.
+    provided environment, or when its value (or any value folded on the way)
+    is not a finite number that fits 64 bits.
     """
     if node is None:
         return None
     env = env or ConstantEnvironment()
-    if isinstance(node, IntegerLiteral):
-        return node.value
-    if isinstance(node, FloatingLiteral):
-        return node.value
+    if isinstance(node, (IntegerLiteral, FloatingLiteral)):
+        return _bounded(node.value)
     if isinstance(node, (ParenExpr, ImplicitCastExpr, CStyleCastExpr)):
         return evaluate_constant(node.children[0] if node.children else None, env)
     if isinstance(node, DeclRefExpr):
         value = env.get(node.name)
         if value is not None:
-            return value
+            return _bounded(value)
         decl = node.referenced_decl
         if isinstance(decl, VarDecl) and decl.init is not None:
             return evaluate_constant(decl.init, env)
@@ -285,13 +303,13 @@ def evaluate_constant(
         if value is None:
             return None
         if node.opcode == "-":
-            return -value
+            return _bounded(-value)
         if node.opcode == "+":
             return value
         if node.opcode == "!":
             return int(not value)
         if node.opcode == "~":
-            return ~int(value)
+            return _bounded(~int(value))
         return None
     if isinstance(node, BinaryOperator):
         lhs = evaluate_constant(node.lhs, env)
@@ -302,9 +320,10 @@ def evaluate_constant(
         if folder is None:
             return None
         try:
-            return folder(lhs, rhs)
+            value = folder(lhs, rhs)
         except ZeroDivisionError:
             return None
+        return None if value is None else _bounded(value)
     if isinstance(node, ConditionalOperator):
         cond = evaluate_constant(node.cond, env)
         if cond is None:
@@ -428,8 +447,10 @@ def estimate_trip_count(
         return default
     if span <= 0:
         return 0
-    trips = int((span + step - 1) // step)
-    return max(trips, 0)
+    trips = (span + step - 1) // step
+    if not trips <= _MAX_CONSTANT:      # past 64 bits (or inf from a tiny float step)
+        return default
+    return max(int(trips), 0)
 
 
 def counter_range(
@@ -459,19 +480,18 @@ def counter_range(
             return None                 # zero-trip loop: body never runs
         # the counter only hits start + k*step; clamp last onto the lattice
         last = start + ((last - start) // step) * step
-        return (int(start), int(last))
+        return (int(start), int(last)) if _MIN_CONSTANT <= last <= _MAX_CONSTANT else None
     if op in {">", ">="} and step < 0:
         last = bound if op == ">=" else bound + 1
         if last > start:
             return None
         last = start + ((start - last) // (-step)) * step
-        return (int(last), int(start))
+        return (int(last), int(start)) if _MIN_CONSTANT <= last <= _MAX_CONSTANT else None
     return None
 
 
 def analyze(root: ASTNode, env: Optional[ConstantEnvironment] = None) -> ASTNode:
     """Run the full semantic pipeline (casts + reference resolution)."""
-    set_parents(root)
     insert_implicit_casts(root)
     resolve_references(root)
     return root

@@ -21,13 +21,13 @@ AST adds the seven new edge types, and full ParaGraph also adds the weights.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Optional
+from typing import List, Optional, Tuple
 
 from ..clang.ast_nodes import ASTNode, DeclRefExpr, ForStmt, IfStmt
 from ..clang.semantics import ConstantEnvironment
-from ..clang.traversal import preorder, terminals_in_token_order
-from .edges import EdgeType
-from .graph import ParaGraph
+from ..clang.traversal import preorder
+from .edges import Edge, EdgeType
+from .graph import GraphNode, ParaGraph
 from .variants import GraphVariant
 from .weights import WeightConfig, child_edge_weights
 
@@ -47,76 +47,80 @@ class ParaGraphBuilder:
 
     # ------------------------------------------------------------------ #
     def build(self, root: ASTNode) -> ParaGraph:
-        """Build the graph for the subtree rooted at *root*."""
-        graph = ParaGraph(name=self.name)
-        node_ids: Dict[int, int] = {}
+        """Build the graph for the subtree rooted at *root*.
 
-        # 1. nodes (pre-order so parents get smaller ids than children)
-        for ast_node in preorder(root):
-            node_ids[id(ast_node)] = graph.add_node(
-                label=ast_node.kind,
-                spelling=ast_node.spelling,
-                is_terminal=ast_node.is_terminal,
-                ast_node=ast_node,
-            )
+        Node ids follow pre-order, so parents get smaller ids than children.
+        One pass over that order collects every edge kind; the edge list is
+        Child, NextToken, NextSib, Ref, ForExec/ForNext, ConTrue/ConFalse,
+        each kind in pre-order (Child and NextSib: parents in pre-order,
+        children left to right; NextToken: source token order).
+        """
+        order = list(preorder(root))
+        node_ids = {id(node): node_id for node_id, node in enumerate(order)}
+        augment = self.variant.includes_augmentation_edges
+        nodes: List[GraphNode] = []
+        child_src: List[int] = []
+        child_dst: List[int] = []
+        terminals: List[Tuple[int, int]] = []       # (token order key, node id)
+        next_sib: List[Edge] = []
+        refs: List[Edge] = []
+        loops: List[Edge] = []
+        branches: List[Edge] = []
+        for node_id, node in enumerate(order):
+            is_terminal = node.is_terminal
+            nodes.append(GraphNode(node_id, node.kind, node.spelling, is_terminal, node))
+            if node.children:
+                child_ids = [node_ids[id(child)] for child in node.children]
+                child_src.extend(repeat(node_id, len(child_ids)))
+                child_dst.extend(child_ids)
+                if augment:
+                    next_sib.extend(map(Edge, child_ids, child_ids[1:],
+                                        repeat(EdgeType.NEXT_SIB)))
+            if not augment:
+                continue
+            if is_terminal:
+                # synthetic terminals (no token index) keep pre-order place
+                key = node.token_index if node.token_index >= 0 else 10**9 + node_id
+                terminals.append((key, node_id))
+            if isinstance(node, DeclRefExpr):
+                # no edge to a declaration outside this tree (or to none)
+                decl_id = node_ids.get(id(node.referenced_decl))
+                if decl_id is not None:
+                    refs.append(Edge(node_id, decl_id, EdgeType.REF))
+            elif isinstance(node, ForStmt):
+                init_id = node_ids[id(node.init)]
+                cond_id = node_ids[id(node.cond)]
+                body_id = node_ids[id(node.body)]
+                inc_id = node_ids[id(node.inc)]
+                # ForExec: flow into the next execution of the loop body;
+                # ForNext: flow deciding/starting the next iteration
+                loops += [Edge(init_id, cond_id, EdgeType.FOR_EXEC),
+                          Edge(cond_id, body_id, EdgeType.FOR_EXEC),
+                          Edge(body_id, inc_id, EdgeType.FOR_NEXT),
+                          Edge(inc_id, cond_id, EdgeType.FOR_NEXT)]
+            elif isinstance(node, IfStmt):
+                cond_id = node_ids[id(node.cond)]
+                if node.then_branch is not None:
+                    branches.append(Edge(cond_id, node_ids[id(node.then_branch)],
+                                         EdgeType.CON_TRUE))
+                if node.else_branch is not None:
+                    branches.append(Edge(cond_id, node_ids[id(node.else_branch)],
+                                         EdgeType.CON_FALSE))
 
-        # 2. Child edges (weighted for the full ParaGraph variant)
         if self.variant.includes_weights:
-            weights = iter(child_edge_weights(root, self.weight_config))
+            weights = child_edge_weights(root, self.weight_config)
         else:
             weights = repeat(1.0)
-        for ast_node in preorder(root):
-            parent_id = node_ids[id(ast_node)]
-            for child in ast_node.children:
-                graph.add_edge(parent_id, node_ids[id(child)], EdgeType.CHILD,
-                               next(weights))
+        edges = list(map(Edge, child_src, child_dst, repeat(EdgeType.CHILD), weights))
+        if augment:
+            tokens = [node_id for _, node_id in sorted(terminals)]
+            edges += map(Edge, tokens, tokens[1:], repeat(EdgeType.NEXT_TOKEN))
+            edges += next_sib + refs + loops + branches
 
-        if not self.variant.includes_augmentation_edges:
-            return graph
-
-        # 3. NextToken edges over the syntax tokens, left to right
-        terminals = terminals_in_token_order(root)
-        for left, right in zip(terminals, terminals[1:]):
-            graph.add_edge(node_ids[id(left)], node_ids[id(right)], EdgeType.NEXT_TOKEN)
-
-        # 4. NextSib edges between consecutive children of each node
-        for ast_node in preorder(root):
-            children = ast_node.children
-            for left, right in zip(children, children[1:]):
-                graph.add_edge(node_ids[id(left)], node_ids[id(right)], EdgeType.NEXT_SIB)
-
-        # 5. Ref edges from variable uses to their declarations
-        for ast_node in preorder(root):
-            if isinstance(ast_node, DeclRefExpr) and ast_node.referenced_decl is not None:
-                decl_id = node_ids.get(id(ast_node.referenced_decl))
-                if decl_id is not None:
-                    graph.add_edge(node_ids[id(ast_node)], decl_id, EdgeType.REF)
-
-        # 6. loop execution-order edges
-        for ast_node in preorder(root):
-            if isinstance(ast_node, ForStmt):
-                init_id = node_ids[id(ast_node.init)]
-                cond_id = node_ids[id(ast_node.cond)]
-                body_id = node_ids[id(ast_node.body)]
-                inc_id = node_ids[id(ast_node.inc)]
-                # ForExec: flow into the next execution of the loop body
-                graph.add_edge(init_id, cond_id, EdgeType.FOR_EXEC)
-                graph.add_edge(cond_id, body_id, EdgeType.FOR_EXEC)
-                # ForNext: flow deciding/starting the next iteration
-                graph.add_edge(body_id, inc_id, EdgeType.FOR_NEXT)
-                graph.add_edge(inc_id, cond_id, EdgeType.FOR_NEXT)
-
-        # 7. if-branch edges
-        for ast_node in preorder(root):
-            if isinstance(ast_node, IfStmt):
-                cond_id = node_ids[id(ast_node.cond)]
-                if ast_node.then_branch is not None:
-                    graph.add_edge(cond_id, node_ids[id(ast_node.then_branch)],
-                                   EdgeType.CON_TRUE)
-                if ast_node.else_branch is not None:
-                    graph.add_edge(cond_id, node_ids[id(ast_node.else_branch)],
-                                   EdgeType.CON_FALSE)
-
+        graph = ParaGraph(name=self.name)
+        graph.nodes = nodes
+        graph.edges = edges
+        graph._ast_to_id = node_ids     # the builder's own map, not a copy
         return graph
 
 

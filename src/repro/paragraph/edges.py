@@ -19,9 +19,8 @@ ConFalse   if condition → else-branch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
 class EdgeType(IntEnum):
@@ -61,8 +60,7 @@ NUM_EDGE_TYPES = len(EdgeType)
 AUGMENTATION_EDGE_TYPES = tuple(t for t in EdgeType if t is not EdgeType.CHILD)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A single directed, typed, weighted edge of a ParaGraph.
 
     ``weight`` is non-zero only for :data:`EdgeType.CHILD` edges, matching the

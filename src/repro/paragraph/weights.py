@@ -19,6 +19,7 @@ problem-size bindings supplied through a
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -82,6 +83,11 @@ class WeightConfig:
 #: minimum multiplier so Child-edge weights stay strictly positive.
 _MIN_WEIGHT = 1e-6
 
+#: execution counts saturate at the largest float: twenty nested loops of
+#: 2**62 iterations would otherwise overflow to ``inf`` (and the model to
+#: ``nan``).
+_MAX_COUNT = sys.float_info.max
+
 
 def compute_execution_counts(
     root: ASTNode,
@@ -91,8 +97,9 @@ def compute_execution_counts(
 
     The count of a node is the product of the iteration counts of its
     enclosing loops (adjusted for OpenMP work sharing) and the branch
-    probabilities of its enclosing ``if`` branches.  The Child edge pointing
-    *to* a node carries that node's count as its weight.
+    probabilities of its enclosing ``if`` branches, saturated at the
+    largest finite float.  The Child edge pointing *to* a node carries that
+    node's count as its weight.
     """
     config = config or WeightConfig()
     counts: Dict[int, float] = {}
@@ -113,7 +120,7 @@ def compute_execution_counts(
         to the first ``pending_levels`` loops encountered on this path (once
         in total — applied at the outermost pending loop).
         """
-        counts[id(node)] = max(multiplier, _MIN_WEIGHT)
+        counts[id(node)] = min(max(multiplier, _MIN_WEIGHT), _MAX_COUNT)
 
         if isinstance(node, OMPExecutableDirective):
             divisor = float(config.parallelism_for(node))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clang.lexer import LexError, Lexer, Token, TokenKind, tokenize
+from repro.clang.lexer import LexError, Token, TokenKind, tokenize
 
 
 def kinds(source):

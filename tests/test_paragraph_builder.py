@@ -1,5 +1,10 @@
 """Tests for the AST → ParaGraph construction, including the Fig. 2 scenarios."""
 
+import gc
+import sys
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from repro.clang import ConstantEnvironment, analyze, parse_snippet, parse_source
 from repro.paragraph import (
     EdgeType,
+    GraphEncoder,
     GraphVariant,
     ParaGraphBuilder,
     WeightConfig,
@@ -211,6 +217,16 @@ class TestWeights:
         for edge in graph.edges_of_type(EdgeType.CHILD):
             assert edge.weight > 0
 
+    def test_counts_saturate_at_the_largest_float(self):
+        # 20 nested loops of 2**62 iterations: the product leaves the float
+        # range, so the innermost counts saturate instead of becoming inf
+        source = "".join(f"for (int i{k} = 0; i{k} < (1 << 62); i{k}++) {{ "
+                         for k in range(20)) + "x += 1;" + " }" * 20
+        graph = build(source)
+        weights = [e.weight for e in graph.edges_of_type(EdgeType.CHILD)]
+        assert max(weights) == sys.float_info.max
+        assert np.isfinite(GraphEncoder().encode(graph).edge_weight).all()
+
 
 class TestVariants:
     SOURCE = "for (int i = 0; i < 9; i++) { if (i > 4) { a[i] = i; } }"
@@ -268,3 +284,33 @@ class TestOnRealKernels:
         # edges outside the loop body keep weight 1, so that is the floor
         expected = max(bound / threads, 1.0)
         assert max(e.weight for e in graph.edges_of_type(EdgeType.CHILD)) == pytest.approx(expected)
+
+
+class TestTreeLifetime:
+    def test_trees_are_freed_without_the_cyclic_collector(self):
+        # parent links are weak, so an analyzed AST and the graph built from
+        # it hold no reference cycle: dropping the last reference frees them
+        from repro.synth import generate_kernel
+
+        source = generate_kernel(3).source
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            root = analyze(parse_source(source))
+            graph = build_paragraph(root, num_threads=8, num_teams=4)
+            assert graph.num_nodes == sum(1 for _ in root.walk())
+            for node in root.walk():
+                for child in node.children:
+                    assert child.parent is node
+            parent = root
+            while parent.children[-1].children:
+                parent = parent.children[-1]
+            leaf = parent.children[-1]
+            assert leaf.parent is parent and root.parent is None
+            root_ref, leaf_ref = weakref.ref(root), weakref.ref(leaf)
+            del root, graph, node, child, parent, leaf
+            assert root_ref() is None
+            assert leaf_ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -147,6 +147,38 @@ class TestExpressions:
             parse_snippet("(a + b;")
 
 
+class TestIntegerLiterals:
+    """C's rules: ``0x`` is hex, a leading ``0`` is octal, ``u``/``l`` drop."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("010", 8), ("0x1F", 31), ("07u", 7), ("0", 0), ("00", 0), ("10UL", 10),
+        ("0XffLL", 255), ("18446744073709551615u", 2 ** 64 - 1),
+        ("0xFFFFFFFFFFFFFFFF", 2 ** 64 - 1), ("01777777777777777777777", 2 ** 64 - 1),
+    ])
+    def test_value(self, text, value):
+        stmt = first_stmt(f"{text};")
+        assert isinstance(stmt, IntegerLiteral)
+        assert stmt.value == value and stmt.spelling == text
+
+    @pytest.mark.parametrize("text, message", [
+        ("08", "invalid digit in octal literal"),
+        ("0779", "invalid digit in octal literal"),
+        ("0x", "hexadecimal literal without digits"),
+        ("0XuL", "hexadecimal literal without digits"),
+        ("18446744073709551616", "integer literal too large"),
+        ("0x10000000000000000", "integer literal too large"),
+        ("02000000000000000000000", "integer literal too large"),
+        pytest.param("9" * 4400, "integer literal too large",  # past int()'s digit limit
+                     id="4400-digits"),
+        ("1.5u", "invalid floating literal"),
+        ("0x1uf", "invalid floating literal"),
+    ])
+    def test_malformed_literal_is_a_located_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=message) as caught:
+            parse_snippet(f"int x;\n  x = {text};")
+        assert (caught.value.token.line, caught.value.token.column) == (2, 7)
+
+
 class TestStatements:
     def test_declaration_with_init(self):
         stmt = first_stmt("int x = 5;")

@@ -556,7 +556,11 @@ class TestServerBreaker:
                "int k() { return " + "(" * 200 + "1" + ")" * 200 + "; }",
                "void k() { " + "{" * 1000 + "}" * 1000 + " }",
                "void k(int x) { " + "x = " * 1000 + "1; }",
-               "int k(int x) { return " + " + ".join(["x"] * 1000) + "; }"]
+               "int k(int x) { return " + " + ".join(["x"] * 1000) + "; }",
+               # malformed integer literals (a bad octal digit, an empty hex
+               # literal, more digits than Python's int() converts)
+               "int k() { return 08; }", "int k() { return 0x; }",
+               "int k() { return " + "9" * 4400 + "; }"]
         with Server(session, ServerConfig()) as server:
             rejected = 2 * server.config.breaker_threshold
             for index in range(rejected):
@@ -585,6 +589,36 @@ class TestServerBreaker:
                 with pytest.raises(ParseError):
                     server.predict(make(deepest + 1), platform)
             assert server.healthz()["status"] == "ok"
+
+
+class TestHostileConstants:
+    """Constants that no 64-bit C type holds fall back to the default trip
+    count, and execution counts saturate: each source predicts a finite
+    value instead of raising (or answering ``nan``)."""
+
+    SOURCES = [
+        "void k(int n) { for (int i = 0; i < 1e999; i++) { n += i; } }",
+        "void k(int n) { for (int i = 0; i < 1 << 2000; i++) { n += i; } }",
+        "void k(int n) { for (int i = 0; i < "
+        + " * ".join(["(1 << 62)"] * 17) + "; i++) { n += i; } }",
+        "void k(int n) { " + "".join(f"for (int i{d} = 0; i{d} < (1 << 62); i{d}++) {{ "
+                                     for d in range(20)) + "n += 1;" + " }" * 20 + " }",
+        "void k(int n) { for (int i = 0; i < 1 << 8000000; i++) { n += i; } }",
+        "void k(int n) { for (int i = 0; i < 1 << -1; i++) { n += i; } }",
+    ]
+
+    def test_hostile_constants_predict_finite_values(self, warm_stack):
+        session, platform, sources = warm_stack
+        with Server(session, ServerConfig()) as server:
+            for source in self.SOURCES:
+                assert np.isfinite(server.predict(source, platform))
+            for index in range(server.config.breaker_threshold):
+                source = self.SOURCES[index % len(self.SOURCES)]
+                assert np.isfinite(server.predict(source, platform))
+            assert server.stats().failures == 0
+            assert server.stats().breakers_open == 0
+            assert server.healthz()["status"] == "ok"
+            assert np.isfinite(server.predict(sources[0], platform))
 
 
 class TestObservability:

@@ -213,6 +213,19 @@ class TestTripCount:
         loop = self.get_loop("int i; for (i = 5; i < 25; i++) {}")
         assert estimate_trip_count(loop) == 20
 
+    @pytest.mark.parametrize("bound, step", [
+        ("1e999", "1"), ("1 << 2000", "1"), ("0.0 / 0.0", "1"),
+        # the count itself would leave 64 bits
+        ("1e19", "1e-300"), ("18446744073709551615", "1"),
+    ])
+    def test_unrepresentable_bounds_use_default(self, bound, step):
+        loop = self.get_loop(f"for (int i = -9223372036854775807; i < {bound}; i += {step}) {{}}")
+        assert estimate_trip_count(loop, default=16) == 16
+
+    def test_largest_bounds_still_count(self):
+        loop = self.get_loop("for (int i = 0; i < (1 << 62); i++) {}")
+        assert estimate_trip_count(loop) == 2 ** 62
+
     @given(st.integers(0, 50), st.integers(51, 300), st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
     def test_trip_count_matches_python_range(self, start, stop, step):
@@ -244,6 +257,25 @@ class TestConstantFoldingEdges:
     def test_environment_resolves_names(self):
         env = ConstantEnvironment({"N": 6})
         assert evaluate_constant(parse_expr("N * 2"), env) == 12
+
+    @pytest.mark.parametrize("expression", [
+        "1e999", "-1e999", "1e300", "1e308 * 10", "1 << 2000", "1 << 64", "1 << -1", "8 >> 64",
+        "18446744073709551615 + 1", "-9223372036854775807 - 2", "(1 << 62) * (1 << 62)",
+        " * ".join(["(1 << 62)"] * 17), "1 << 8000000",
+    ])
+    def test_values_outside_64_bits_are_not_constant(self, expression):
+        assert evaluate_constant(parse_expr(expression)) is None
+
+    def test_deepest_parsable_sum_folds(self):
+        # bounding each fold must not cost stack: a 500-term sum sits just
+        # inside the parser's nesting limit
+        assert evaluate_constant(parse_expr(" + ".join(["1"] * 500))) == 500
+
+    def test_values_inside_64_bits_fold(self):
+        assert evaluate_constant(parse_expr("1 << 63")) == 2 ** 63
+        assert evaluate_constant(parse_expr("18446744073709551615")) == 2 ** 64 - 1
+        assert evaluate_constant(parse_expr("-9223372036854775807 - 1")) == -(2 ** 63)
+        assert evaluate_constant(parse_expr("1e18")) == 1e18
 
     def test_with_values_layers_without_mutation(self):
         base = ConstantEnvironment({"N": 4, "M": 2})
