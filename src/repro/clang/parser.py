@@ -63,11 +63,23 @@ from .ast_nodes import (
 from .lexer import Token, TokenKind, tokenize
 
 
+#: Longest token text a :class:`ParseError` message echoes; a longer token
+#: (a megabyte literal, say) is cut to this many characters plus ``…``.
+_ECHO_LIMIT = 40
+
+
 class ParseError(Exception):
-    """Raised on a syntax error, with the offending token location."""
+    """Raised on a syntax error, with the offending token location.
+
+    The message echoes at most :data:`_ECHO_LIMIT` characters of the token;
+    ``.token`` keeps it whole.
+    """
 
     def __init__(self, message: str, token: Token) -> None:
-        super().__init__(f"{message} (at line {token.line}, column {token.column}, near {token.text!r})")
+        text = token.text
+        if len(text) > _ECHO_LIMIT:
+            text = text[:_ECHO_LIMIT] + "…"
+        super().__init__(f"{message} (at line {token.line}, column {token.column}, near {text!r})")
         self.token = token
 
 

@@ -40,6 +40,7 @@ from .ast_nodes import (
     UnaryOperator,
     VarDecl,
 )
+from .parser import MAX_DEPTH
 
 Number = Union[int, float]
 
@@ -273,6 +274,14 @@ def _bounded(value: Number) -> Optional[Number]:
     return value if _MIN_CONSTANT <= value <= _MAX_CONSTANT else None   # NaN fails
 
 
+#: Deepest constant fold.  Each expression level and each hop from a name to
+#: its declaration's initializer spend one level of one budget, so every
+#: expression the parser accepts (at most ``MAX_DEPTH`` levels deep) still
+#: folds on its own, while a longer chain of declarations (``int x1 = x0 + 1;
+#: int x2 = x1 + 1; ...``) is "not evaluable" instead of a ``RecursionError``.
+_FOLD_DEPTH = MAX_DEPTH
+
+
 def evaluate_constant(
     node: Optional[ASTNode],
     env: Optional[ConstantEnvironment] = None,
@@ -280,26 +289,33 @@ def evaluate_constant(
     """Try to evaluate *node* to a numeric constant.
 
     Returns ``None`` when the expression is not statically evaluable with the
-    provided environment, or when its value (or any value folded on the way)
-    is not a finite number that fits 64 bits.
+    provided environment, when its value (or any value folded on the way)
+    is not a finite number that fits 64 bits, or when folding it would
+    descend more than :data:`_FOLD_DEPTH` expression levels and declaration
+    hops.
     """
-    if node is None:
+    return _fold(node, env or ConstantEnvironment(), 0)
+
+
+def _fold(node: Optional[ASTNode], env: ConstantEnvironment,
+          depth: int) -> Optional[Number]:
+    if node is None or depth > _FOLD_DEPTH:
         return None
-    env = env or ConstantEnvironment()
+    depth += 1
     if isinstance(node, (IntegerLiteral, FloatingLiteral)):
         return _bounded(node.value)
     if isinstance(node, (ParenExpr, ImplicitCastExpr, CStyleCastExpr)):
-        return evaluate_constant(node.children[0] if node.children else None, env)
+        return _fold(node.children[0] if node.children else None, env, depth)
     if isinstance(node, DeclRefExpr):
         value = env.get(node.name)
         if value is not None:
             return _bounded(value)
         decl = node.referenced_decl
         if isinstance(decl, VarDecl) and decl.init is not None:
-            return evaluate_constant(decl.init, env)
+            return _fold(decl.init, env, depth)
         return None
     if isinstance(node, UnaryOperator):
-        value = evaluate_constant(node.operand, env)
+        value = _fold(node.operand, env, depth)
         if value is None:
             return None
         if node.opcode == "-":
@@ -312,8 +328,8 @@ def evaluate_constant(
             return _bounded(~int(value))
         return None
     if isinstance(node, BinaryOperator):
-        lhs = evaluate_constant(node.lhs, env)
-        rhs = evaluate_constant(node.rhs, env)
+        lhs = _fold(node.lhs, env, depth)
+        rhs = _fold(node.rhs, env, depth)
         if lhs is None or rhs is None:
             return None
         folder = _FOLDABLE_BINOPS.get(node.opcode)
@@ -325,11 +341,11 @@ def evaluate_constant(
             return None
         return None if value is None else _bounded(value)
     if isinstance(node, ConditionalOperator):
-        cond = evaluate_constant(node.cond, env)
+        cond = _fold(node.cond, env, depth)
         if cond is None:
             return None
         branch = node.true_expr if cond else node.false_expr
-        return evaluate_constant(branch, env)
+        return _fold(branch, env, depth)
     if isinstance(node, SizeOfExpr):
         sizes = {"char": 1, "short": 2, "int": 4, "float": 4, "long": 8,
                  "double": 8, "size_t": 8}

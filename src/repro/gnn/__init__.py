@@ -6,15 +6,16 @@ and GAT convolutions, global pooling readouts, and the full
 
 The relational convolutions are vectorized over relations via the cached
 :class:`RelationalEdgeLayout` (relation-bucketed CSR-style edge layout,
-validated and sorted once per distinct graph), and ``RGATConv`` additionally
-carries a fused pure-NumPy kernel that serves ``no_grad`` forwards; the seed
-per-relation-loop implementations survive as ``forward_reference`` for the
-parity regression tests and ``benchmarks/test_perf_gnn_forward.py``.
+validated and sorted once per distinct graph).  ``RGATConv`` and
+``RGCNConv`` each have three forwards: ``forward`` for autodiff training,
+``forward_packed`` as the one inference kernel, and the seed
+per-relation-loop ``forward_reference`` for the parity regression tests and
+``benchmarks/test_perf_gnn_forward.py``.
 
-:mod:`repro.gnn.packing` packs many graphs into one block-diagonal
-``PackedLayout`` so a whole serving micro-batch costs a single fused
-forward (``ParaGraphModel.predict_packed``) that is float64 bit-identical
-to predicting each graph alone.
+:mod:`repro.gnn.packing` packs graphs into one block-diagonal
+``PackedLayout`` so a whole serving micro-batch costs a single forward
+(``ParaGraphModel.predict_packed``) that is float64 bit-identical to
+predicting each graph alone; a single graph is a pack of one.
 """
 
 from .edge_layout import (
@@ -28,7 +29,6 @@ from .gat import GATConv
 from .message_passing import (
     MessagePassing,
     add_self_loops,
-    cached_add_self_loops,
     validate_edge_index,
 )
 from .models import COMPOFFStyleMLP, ParaGraphModel
@@ -66,7 +66,6 @@ __all__ = [
     "RGCNConv",
     "RelationalEdgeLayout",
     "add_self_loops",
-    "cached_add_self_loops",
     "edge_layout_cache_info",
     "get_edge_layout",
     "global_max_pool",

@@ -10,6 +10,10 @@ once per (edge_index, edge_type) pair, everything those loops re-derived:
   so each relation's edges form one contiguous block — the CSR-style layout
   :func:`repro.nn.functional.segment_matmul` consumes,
 * ``offsets`` — the ``(R + 1,)`` block boundaries per relation,
+* a destination-major view (``dst_order``, ``dst_starts``, ``dst_unique``)
+  for per-node ``reduceat`` reductions, the flat (node, relation) cell of
+  each edge's endpoints (``cell_src``, ``cell_dst``), and a memoized sparse
+  scatter matrix behind :meth:`RelationalEdgeLayout.scatter_sum`,
 * validation — ``validate_edge_index`` and the edge-type range check run
   here exactly once instead of in every layer of a 3-layer stack.
 
@@ -19,7 +23,7 @@ the :class:`repro.api.Session` serving path, whose construction cache returns
 identical encoded graphs — never re-sorts or re-validates, regardless of
 which batch object the arrays travel in.  The cache (and each layout's
 scatter-matrix memo) is lock-protected: one process-wide instance is shared
-by every :mod:`repro.serve` worker.
+by every thread that serves.
 """
 
 from __future__ import annotations
@@ -165,17 +169,28 @@ class RelationalEdgeLayout:
                 values[self.dst_order], self.dst_starts, axis=0)
         return out
 
-    def scatter_matrix(self) -> Optional[object]:
-        """The cached float64 sparse dst-aggregation matrix (or ``None`` when
-        scipy is unavailable); ``matrix @ messages`` sums per node."""
+    def scatter_sum(self, messages: np.ndarray) -> np.ndarray:
+        """Sum per-edge *messages* ``(E, D)``, in layout order, per node.
+
+        One product with the memoized float64 sparse scatter matrix, or
+        ``np.add.at`` when scipy is unavailable.  Both add each node's
+        messages one at a time in layout order, starting from zero, so a
+        merged block-diagonal layout sums every graph's nodes bit for bit as
+        that graph's own layout does.
+        """
         memo = self._matrix
-        if memo:                     # lock-free fast path (GIL-atomic read)
-            return memo[0]
-        with self._matrix_lock:
-            if not memo:
-                memo.append(_build_scatter_matrix(self.dst, self.num_nodes,
-                                                  np.float64))
-            return memo[0]
+        if not memo:                 # lock-free fast path (GIL-atomic read)
+            with self._matrix_lock:
+                if not memo:
+                    memo.append(_build_scatter_matrix(self.dst, self.num_nodes,
+                                                      np.float64))
+        matrix = memo[0]
+        if matrix is None:
+            out = np.zeros((self.num_nodes,) + messages.shape[1:],
+                           dtype=messages.dtype)
+            np.add.at(out, self.dst, messages)
+            return out
+        return np.asarray(matrix @ messages)
 
 
 class CacheInfo(NamedTuple):

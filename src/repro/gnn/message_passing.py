@@ -16,9 +16,6 @@ aggregate → update scheme over an edge list:
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
@@ -61,56 +58,6 @@ def add_self_loops(edge_index: np.ndarray, num_nodes: int,
         new_weight = np.concatenate([np.asarray(edge_weight, dtype=np.float64),
                                      np.full(num_nodes, self_loop_weight)])
     return new_index, new_type, new_weight
-
-
-#: content-addressed LRU for :func:`cached_add_self_loops` (key: digest of the
-#: inputs); sized for a serving tier's working set of distinct graphs and
-#: lock-protected so concurrent serving workers can share it.
-_SELF_LOOP_CACHE: "OrderedDict[bytes, Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]" = OrderedDict()
-_SELF_LOOP_CACHE_CAPACITY = 128
-_SELF_LOOP_CACHE_LOCK = threading.Lock()
-
-
-def cached_add_self_loops(edge_index: np.ndarray, num_nodes: int,
-                          edge_type: Optional[np.ndarray] = None,
-                          self_loop_type: int = 0,
-                          edge_weight: Optional[np.ndarray] = None,
-                          self_loop_weight: float = 0.0) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """:func:`add_self_loops` with a content-addressed LRU cache.
-
-    Repeated inference over the same graph (the ``Session`` serving path)
-    re-augments identical edge lists on every call; this variant memoizes the
-    concatenated arrays.  The returned arrays are shared between callers and
-    marked read-only — copy before mutating.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.ascontiguousarray(edge_index, dtype=np.int64).tobytes())
-    digest.update(f"|{int(num_nodes)}|{int(self_loop_type)}|{float(self_loop_weight)}".encode())
-    for extra in (edge_type, edge_weight):
-        digest.update(b"|")
-        if extra is not None:
-            digest.update(np.ascontiguousarray(extra).tobytes())
-    key = digest.digest()
-    with _SELF_LOOP_CACHE_LOCK:
-        hit = _SELF_LOOP_CACHE.get(key)
-        if hit is not None:
-            _SELF_LOOP_CACHE.move_to_end(key)
-            return hit
-    result = add_self_loops(edge_index, num_nodes, edge_type=edge_type,
-                            self_loop_type=self_loop_type, edge_weight=edge_weight,
-                            self_loop_weight=self_loop_weight)
-    for array in result:
-        if array is not None:
-            array.setflags(write=False)
-    with _SELF_LOOP_CACHE_LOCK:
-        existing = _SELF_LOOP_CACHE.get(key)
-        if existing is not None:
-            _SELF_LOOP_CACHE.move_to_end(key)
-            return existing
-        _SELF_LOOP_CACHE[key] = result
-        while len(_SELF_LOOP_CACHE) > _SELF_LOOP_CACHE_CAPACITY:
-            _SELF_LOOP_CACHE.popitem(last=False)
-    return result
 
 
 class MessagePassing(Module):

@@ -180,14 +180,20 @@ class ParaGraphModel(Module):
         return prediction.reshape(-1)
 
     def predict(self, batch: GraphBatch) -> np.ndarray:
-        """Inference helper returning a plain float64 NumPy array.
+        """:meth:`forward` under :class:`repro.nn.no_grad`, as a float64 array.
 
-        Runs under :class:`repro.nn.no_grad` — no autodiff graph is
-        recorded, and the flag is context-local, so concurrent ``predict``
-        calls on a shared model don't interfere.  The shared ``training``
-        flag is deliberately left untouched (``Dropout`` is identity under
-        ``no_grad``), so serving never mutates module state a concurrent
-        thread observes.
+        This is the collated path: every GEMM sees the whole batch.  Serving
+        and :meth:`repro.ml.trainer.Trainer.predict` run
+        :meth:`predict_packed` instead whenever :meth:`supports_packed`, so
+        this path serves only models whose convs lack a packed kernel (GAT,
+        custom registered kinds).  It also stays the independent solo
+        reference the packed kernel is checked against, to rounding.
+
+        No autodiff graph is recorded, and the flag is context-local, so
+        concurrent ``predict`` calls on a shared model don't interfere.  The
+        shared ``training`` flag is deliberately left untouched (``Dropout``
+        is identity under ``no_grad``), so serving never mutates module
+        state a concurrent thread observes.
         """
         with no_grad():
             return self.forward(batch).data.copy()
@@ -198,16 +204,16 @@ class ParaGraphModel(Module):
         return all(hasattr(layer, "forward_packed") for layer in self.convs)
 
     def forward_packed(self, batch) -> np.ndarray:
-        """One fused inference forward over a packed multi-graph batch.
+        """The inference forward over a packed batch of one or more graphs.
 
         Raw-array twin of :meth:`forward` for a
         :class:`~repro.gnn.packing.PackedBatch`: the conv layers run their
         packed kernels over the merged block-diagonal layout, the readout
         pools over the packed batch vector, and the head layers run one
         graph row at a time so every GEMV keeps the exact shapes of a
-        single-graph forward — float64 results are bit-identical to
-        predicting each graph alone (dropout is identity at inference, so
-        skipping it here changes nothing).  Returns shape ``(num_graphs,)``.
+        one-graph pack — float64 results are bit-identical to packing each
+        graph alone (dropout is identity at inference, so skipping it here
+        changes nothing).  Returns shape ``(num_graphs,)``.
         """
         packed = batch.layout
         x = np.asarray(batch.node_features, dtype=np.float64)

@@ -9,16 +9,17 @@ into one relation-bucketed layout in O(E) — no re-sort, no re-validation,
 no per-composition ``argsort``.
 
 **Bit-identity contract.**  A packed forward is float64 bit-identical to
-predicting each graph alone, for *any* packing order or composition.  BLAS
-kernels are not bit-stable across matrix shapes (OpenBLAS picks micro-kernels
-by row count), so the packed kernels in :mod:`repro.gnn.rgat` /
-:mod:`repro.gnn.rgcn` keep every GEMM per graph — block views with exactly
-the shapes a solo forward would use, each graph keeping its own dense/sparse
-branch decision — while everything that *is* composition-stable fuses across
-the merged layout: edge gathers, the leaky-relu / segment-softmax /
-edge-weight tail, ``reduceat`` reductions, scatter aggregation, and pooling.
-The ``packed-forward-parity`` scenario in :mod:`repro.synth.harness` sweeps
-this contract under random packing orders.
+predicting each graph alone — a pack of one — for *any* packing order or
+composition.  BLAS kernels are not bit-stable across matrix shapes (OpenBLAS
+picks micro-kernels by row count), so the packed kernels in
+:mod:`repro.gnn.rgat` / :mod:`repro.gnn.rgcn` run every GEMM on one graph's
+rows — a (graph, relation) chunk of edges or a graph's node block, each
+graph keeping its own choice of projection — while everything that *is*
+composition-stable fuses across the merged layout: edge
+gathers, the leaky-relu / segment-softmax / edge-weight tail, ``reduceat``
+reductions, scatter aggregation, and pooling.  The
+``packed-forward-parity`` scenario in :mod:`repro.synth.harness` sweeps this
+contract under random packing orders.
 
 **Cache keyspace.**  Merged layouts are cached in their own LRU
 (:class:`PackedLayoutCache`), keyed by the ordered composition of the
@@ -96,24 +97,18 @@ class PackedLayout:
     softmax, scatter matrices, ``sort`` of concatenated edge weights — works
     unchanged.  The extra arrays recover per-graph structure:
 
-    * ``node_offsets`` / ``edge_offsets`` — ``(G+1,)`` prefix sums; graph
-      ``g`` owns nodes ``node_offsets[g]:node_offsets[g+1]`` and (in solo
-      concatenation order) edges ``edge_offsets[g]:edge_offsets[g+1]``.
+    * ``node_offsets`` — ``(G+1,)`` prefix sums; graph ``g`` owns nodes
+      ``node_offsets[g]:node_offsets[g+1]``.
     * ``batch`` — ``(N_total,)`` sorted graph id per node, the pooling vector.
-    * ``positions`` — ``(E_total,)`` merged position of each edge in solo
-      concatenation order: ``merged_array[positions[e0:e1]]`` is graph ``g``'s
-      per-edge data in exactly the order its solo layout produces.
     * ``chunks`` — per graph, the ``(relation, lo, hi)`` runs its edges
-      occupy in the merged layout; the packed conv kernels iterate these so
-      every BLAS call keeps solo shapes.
+      occupy in the merged layout, in its own layout's order; the packed
+      conv kernels iterate these so every BLAS call keeps solo shapes.
     """
 
     layout: RelationalEdgeLayout
     num_graphs: int
     node_offsets: np.ndarray     # (G+1,)
-    edge_offsets: np.ndarray     # (G+1,)
     batch: np.ndarray            # (N_total,) sorted graph id per node
-    positions: np.ndarray        # (E_total,) solo order -> merged position
     chunks: Tuple[Tuple[Chunk, ...], ...]
 
     @property
@@ -123,11 +118,6 @@ class PackedLayout:
     @property
     def num_edges(self) -> int:
         return self.layout.num_edges
-
-    def solo_rows(self, graph: int) -> np.ndarray:
-        """Merged positions of graph *graph*'s edges, in solo layout order."""
-        lo, hi = int(self.edge_offsets[graph]), int(self.edge_offsets[graph + 1])
-        return self.positions[lo:hi]
 
 
 @dataclass
@@ -168,27 +158,24 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
         raise ValueError("all layouts must share num_relations")
     num_graphs = len(layouts)
     nodes = np.array([l.num_nodes for l in layouts], dtype=np.int64)
-    edges = np.array([l.num_edges for l in layouts], dtype=np.int64)
     node_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
     np.cumsum(nodes, out=node_offsets[1:])
-    edge_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
-    np.cumsum(edges, out=edge_offsets[1:])
     batch = np.repeat(np.arange(num_graphs, dtype=np.int64), nodes)
 
     if num_graphs == 1:
         # single-graph packs reuse the solo layout object outright, sharing
-        # its scatter-matrix memo with the unpacked serving path
+        # its scatter-matrix memo with every other pack of that graph alone
         solo = layouts[0]
         packed = PackedLayout(
-            layout=solo, num_graphs=1, node_offsets=node_offsets,
-            edge_offsets=edge_offsets, batch=batch,
-            positions=np.arange(solo.num_edges, dtype=np.int64),
+            layout=solo, num_graphs=1, node_offsets=node_offsets, batch=batch,
             chunks=(tuple(solo.blocks()),))
-        for array in (packed.node_offsets, packed.edge_offsets, packed.batch,
-                      packed.positions):
+        for array in (packed.node_offsets, packed.batch):
             array.setflags(write=False)
         return packed
 
+    edges = np.array([l.num_edges for l in layouts], dtype=np.int64)
+    edge_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
+    np.cumsum(edges, out=edge_offsets[1:])
     counts = np.stack([np.diff(l.offsets) for l in layouts])        # (G, R)
     offsets = np.zeros(num_relations + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=0), out=offsets[1:])
@@ -200,7 +187,6 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
     dst = np.empty(total_edges, dtype=np.int64)
     rel = np.empty(total_edges, dtype=np.int64)
     perm = np.empty(total_edges, dtype=np.int64)
-    positions = np.empty(total_edges, dtype=np.int64)
     dst_order_parts: List[np.ndarray] = []
     dst_starts_parts: List[np.ndarray] = []
     dst_unique_parts: List[np.ndarray] = []
@@ -218,7 +204,6 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
         dst[map_g] = l.dst + node_offsets[g]
         rel[map_g] = l.rel
         perm[map_g] = l.perm + e0
-        positions[e0:e1] = map_g
         # node offsets make merged dst graph-major and map_g preserves the
         # within-graph tie order, so the solo dst-major machinery composes
         # by concatenation
@@ -247,14 +232,12 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
         cell_dst=dst * num_relations + rel,
     )
     packed = PackedLayout(layout=merged, num_graphs=num_graphs,
-                          node_offsets=node_offsets, edge_offsets=edge_offsets,
-                          batch=batch, positions=positions,
+                          node_offsets=node_offsets, batch=batch,
                           chunks=tuple(chunks))
     for array in (merged.perm, merged.src, merged.dst, merged.rel,
                   merged.offsets, merged.dst_order, merged.dst_starts,
                   merged.dst_unique, merged.cell_src, merged.cell_dst,
-                  packed.node_offsets, packed.edge_offsets, packed.batch,
-                  packed.positions):
+                  packed.node_offsets, packed.batch):
         array.setflags(write=False)
     return packed
 

@@ -14,15 +14,19 @@ weights enter the layer multiplicatively: each message is scaled by
 loop bodies) contribute proportionally more to the embedding, while the
 weightless augmentation edges (w = 0) are unaffected.
 
-The forward pass is fully vectorized over relations: a cached
-relation-bucketed :class:`~repro.gnn.edge_layout.RelationalEdgeLayout`
-feeds either one stacked batched-matmul projection of all nodes (dense
-graphs) or a gather → :func:`~repro.nn.functional.segment_matmul` of only
-the rows each relation actually touches (sparse relations), followed by a
-fused gather → message → segment-softmax → scatter-add with no Python loop
-over relations.  The seed per-relation-loop implementation is kept as
-:meth:`RGATConv.forward_reference` for parity regression tests and the
-``benchmarks/test_perf_gnn_forward.py`` micro-benchmark.
+The layer has three forwards over a cached, relation-bucketed
+:class:`~repro.gnn.edge_layout.RelationalEdgeLayout`:
+
+* :meth:`RGATConv.forward` — autodiff training, and the ``no_grad`` path of
+  models whose convs lack a packed kernel.  It projects only the rows each
+  relation touches (one GEMM per relation block): ParaGraph graphs have
+  about two edges per node, far too few for an all-node projection to pay.
+* :meth:`RGATConv.forward_packed` — the one inference kernel, over a packed
+  block of graphs (:mod:`repro.gnn.packing`; a single graph is a pack of
+  one).
+* :meth:`RGATConv.forward_reference` — the seed per-relation loop, kept as
+  the ground truth for the parity tests and the
+  ``benchmarks/test_perf_gnn_forward.py`` micro-benchmark.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn import init
 from ..nn.module import Parameter
-from ..nn.tensor import Tensor, concatenate, is_inference, segment_sum_data
+from ..nn.tensor import Tensor, concatenate
 from .edge_layout import RelationalEdgeLayout, get_edge_layout
 from .message_passing import MessagePassing, validate_edge_index
 
@@ -127,44 +131,24 @@ class RGATConv(MessagePassing):
 
         heads, out_channels = self.heads, self.out_channels
 
-        if num_edges and is_inference():
-            # inference fast path: fused pure-NumPy kernel, no Tensor ops
-            return self._forward_fused(x, layout, edge_weight)
-
         if num_edges == 0:
             aggregated = Tensor(np.zeros((num_nodes, heads * out_channels)),
                                 dtype=x.data.dtype)
         else:
             src, dst, rel = layout.src, layout.dst, layout.rel
 
-            # stacked per-relation projection: project every node once per
-            # relation in a single batched matmul when the graph is dense
-            # enough to amortize it, otherwise project only the gathered
-            # source/destination rows relation-block by relation-block
-            if self.num_relations * num_nodes <= 2 * num_edges:
-                projected = x @ self.weight                  # (R, N, H*C)
-                # per-node attention scores first, so per-edge work gathers
-                # (E, H) scalars instead of (E, H, C) vectors
-                p4 = projected.reshape(self.num_relations, num_nodes,
-                                       heads, out_channels)
-                score_src = (p4 * self.att_src.reshape(
-                    self.num_relations, 1, heads, out_channels)).sum(axis=3)
-                score_dst = (p4 * self.att_dst.reshape(
-                    self.num_relations, 1, heads, out_channels)).sum(axis=3)
-                h_src = projected[(rel, src)].reshape(num_edges, heads,
-                                                      out_channels)
-                logit = score_src[(rel, src)] + score_dst[(rel, dst)]  # (E, H)
-            else:
-                h_src = F.segment_matmul(x.index_select(src), self.weight,
-                                         layout.offsets)     # (E, H*C)
-                h_dst = F.segment_matmul(x.index_select(dst), self.weight,
-                                         layout.offsets)
-                h_src = h_src.reshape(num_edges, heads, out_channels)
-                h_dst = h_dst.reshape(num_edges, heads, out_channels)
-                att_src = self.att_src.index_select(rel)     # (E, H, C)
-                att_dst = self.att_dst.index_select(rel)
-                logit = (h_src * att_src).sum(axis=2) \
-                    + (h_dst * att_dst).sum(axis=2)          # (E, H)
+            # project only the gathered source/destination rows, one GEMM
+            # per relation block
+            h_src = F.segment_matmul(x.index_select(src), self.weight,
+                                     layout.offsets)         # (E, H*C)
+            h_dst = F.segment_matmul(x.index_select(dst), self.weight,
+                                     layout.offsets)
+            h_src = h_src.reshape(num_edges, heads, out_channels)
+            h_dst = h_dst.reshape(num_edges, heads, out_channels)
+            att_src = self.att_src.index_select(rel)         # (E, H, C)
+            att_dst = self.att_dst.index_select(rel)
+            logit = (h_src * att_src).sum(axis=2) \
+                + (h_dst * att_dst).sum(axis=2)              # (E, H)
             logit = F.leaky_relu(logit, self.negative_slope)
 
             # across-relation attention normalization per destination node,
@@ -184,7 +168,8 @@ class RGATConv(MessagePassing):
         return aggregated + self.bias
 
     def _fused_pack(self):
-        """Pre-packed single-GEMM weights for the fused dense kernel.
+        """Pre-packed single-GEMM weights for :meth:`forward_packed`'s
+        all-node projection.
 
         ``W2`` is the relation-stacked projection reshaped to ``(F, R*H*C)``
         so all relations project in one BLAS call, and ``A_src`` / ``A_dst``
@@ -216,78 +201,25 @@ class RGATConv(MessagePassing):
                                               packed_a_dst)
         return packed_w, packed_a_src, packed_a_dst
 
-    def _forward_fused(self, x: Tensor, layout: RelationalEdgeLayout,
-                       edge_weight: Optional[np.ndarray]) -> Tensor:
-        """Fused no-autodiff kernel: gather → message → softmax → scatter.
-
-        Runs only under :func:`repro.nn.no_grad`; works on raw arrays with
-        pre-packed weights, scales messages in place and aggregates through
-        the cached sparse scatter matrix, so a forward pass allocates
-        nothing but its per-edge buffers.
-        """
-        xd = x.data
-        num_nodes = xd.shape[0]
-        num_edges = layout.num_edges
-        heads, out_channels = self.heads, self.out_channels
-        src, dst, rel = layout.src, layout.dst, layout.rel
-        weight = self.weight.data
-
-        if self.num_relations * num_nodes <= 2 * num_edges:
-            packed_w, packed_a_src, packed_a_dst = self._fused_pack()
-            projected = xd @ packed_w                        # (N, R*H*C)
-            score_src = xd @ packed_a_src                    # (N, R*H)
-            score_dst = xd @ packed_a_dst
-            h = projected.reshape(-1, heads, out_channels)[layout.cell_src]
-            logit = score_src.reshape(-1, heads)[layout.cell_src] \
-                + score_dst.reshape(-1, heads)[layout.cell_dst]   # (E, H)
-        else:
-            out_dtype = np.result_type(xd, weight)
-            x_src, x_dst = xd[src], xd[dst]
-            h = np.zeros((num_edges, heads * out_channels), dtype=out_dtype)
-            h_dst = np.zeros_like(h)
-            for relation, lo, hi in layout.blocks():
-                np.matmul(x_src[lo:hi], weight[relation], out=h[lo:hi])
-                np.matmul(x_dst[lo:hi], weight[relation], out=h_dst[lo:hi])
-            h = h.reshape(num_edges, heads, out_channels)
-            h_dst = h_dst.reshape(num_edges, heads, out_channels)
-            logit = np.einsum("ehc,ehc->eh", h, self.att_src.data[rel]) \
-                + np.einsum("ehc,ehc->eh", h_dst, self.att_dst.data[rel])
-
-        logit = np.where(logit > 0, logit, self.negative_slope * logit)
-        # segment softmax over destinations, in place on the logit buffer;
-        # per-node reductions run as reduceat over the layout's dst-major view
-        seg_max = layout.segment_reduce(logit, op="max")
-        logit -= seg_max[dst]
-        np.exp(logit, out=logit)
-        denom = layout.segment_reduce(logit, op="sum")
-        logit /= (denom + 1e-16)[dst]                        # alpha (E, H)
-        if self.use_edge_weight and edge_weight is not None:
-            logit *= (1.0 + layout.sort(edge_weight, dtype=logit.dtype))[:, None]
-        h *= logit[:, :, None]                               # in-place scaling
-        messages = h.reshape(num_edges, heads * out_channels)
-        matrix = layout.scatter_matrix()
-        if matrix is not None:
-            aggregated = np.asarray(matrix @ messages)
-        else:                       # no scipy: generic segment-sum fallback
-            aggregated = segment_sum_data(messages, dst, num_nodes)
-        if self.self_weight is not None:
-            aggregated += xd @ self.self_weight.data
-        aggregated += self.bias.data
-        return Tensor(aggregated, dtype=aggregated.dtype)
-
     def forward_packed(self, x: np.ndarray, packed,
                        edge_weight: Optional[np.ndarray] = None) -> np.ndarray:
-        """Fused packed-batch kernel: many graphs, one block-diagonal pass.
+        """The inference kernel: many graphs, one block-diagonal pass.
 
-        *packed* is a :class:`~repro.gnn.packing.PackedLayout`; *x* is the
-        concatenated node features, *edge_weight* the concatenated weights in
-        original per-graph edge order.  Bit-identity contract (see
-        :mod:`repro.gnn.packing`): every BLAS call runs per graph — block
-        views with exactly the shapes the solo :meth:`_forward_fused` uses,
-        and each graph keeps its own dense/sparse branch decision — while the
-        composition-stable per-edge tail (leaky-relu, segment softmax,
-        edge-weight scaling, scatter aggregation) runs once over the merged
-        layout.  Inference-only: raw arrays, no autodiff.
+        *packed* is a :class:`~repro.gnn.packing.PackedLayout` (one graph is
+        a pack of one); *x* is the concatenated node features, *edge_weight*
+        the concatenated weights in original per-graph edge order.
+        Bit-identity contract (see :mod:`repro.gnn.packing`): every BLAS call
+        runs on one graph's rows — a (graph, relation) chunk of edges or the
+        graph's node block — so its shape never depends on what else is
+        packed, while the composition-stable per-edge tail (leaky-relu,
+        segment softmax, edge-weight scaling, scatter aggregation) runs once
+        over the merged layout.  Inference-only: raw arrays, no autodiff.
+
+        A graph projects its edges relation block by relation block, as
+        every ParaGraph graph does (about two edges per node).  A graph with
+        at least ``num_relations / 2`` edges per node projects each node
+        once per relation in one GEMM instead (:meth:`_fused_pack`), which
+        is cheaper at that density.
         """
         layout = packed.layout
         heads, out_channels = self.heads, self.out_channels
@@ -348,20 +280,7 @@ class RGATConv(MessagePassing):
                 logit *= (1.0 + layout.sort(edge_weight,
                                             dtype=logit.dtype))[:, None]
             h *= logit[:, :, None]
-            messages = h.reshape(num_edges, heads * out_channels)
-            matrix = layout.scatter_matrix()
-            if matrix is not None:
-                aggregated = np.asarray(matrix @ messages)
-            else:               # no scipy: per-graph segment sums, solo order
-                aggregated = np.zeros((num_nodes, heads * out_channels),
-                                      dtype=out_dtype)
-                for g in range(packed.num_graphs):
-                    rows = packed.solo_rows(g)
-                    if not rows.size:
-                        continue
-                    n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
-                    aggregated[n0:n1] = segment_sum_data(
-                        messages[rows], dst[rows] - n0, n1 - n0)
+            aggregated = layout.scatter_sum(flat)
         if self.self_weight is not None:
             self_w = self.self_weight.data
             for g in range(packed.num_graphs):

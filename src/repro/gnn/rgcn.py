@@ -5,12 +5,15 @@ as an alternative relational encoder for the design-choice ablations: RGCN
 replaces attention with a per-relation mean aggregation, which makes it a
 natural "no attention" baseline.
 
-Like :class:`~repro.gnn.rgat.RGATConv`, the forward pass is vectorized over
-relations through a cached :class:`~repro.gnn.edge_layout.RelationalEdgeLayout`:
-messages are projected per relation block (gathered rows only — never all
-nodes per relation), normalized by per-(relation, destination) edge counts,
-and aggregated with a single scatter-add.  The seed per-relation loop is kept
-as :meth:`RGCNConv.forward_reference` for the parity regression tests.
+Like :class:`~repro.gnn.rgat.RGATConv`, the layer has three forwards:
+:meth:`RGCNConv.forward` (autodiff training), :meth:`RGCNConv.forward_packed`
+(the inference kernel over a packed block of graphs) and
+:meth:`RGCNConv.forward_reference` (the seed per-relation loop, ground truth
+for the parity tests).  The first two run through a cached
+:class:`~repro.gnn.edge_layout.RelationalEdgeLayout`: messages are projected
+per relation block (gathered rows only — never all nodes per relation),
+normalized by per-(relation, destination) edge counts, and aggregated with a
+single scatter-add.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn import init
 from ..nn.module import Parameter
-from ..nn.tensor import Tensor, segment_sum_data
+from ..nn.tensor import Tensor
 from .edge_layout import RelationalEdgeLayout, get_edge_layout
 from .message_passing import MessagePassing, validate_edge_index
 
@@ -72,15 +75,9 @@ class RGCNConv(MessagePassing):
 
         out = x @ self.root_weight
         if num_edges:
-            src, dst, rel = layout.src, layout.dst, layout.rel
-            # only source rows are projected, so the stacked all-node path
-            # pays off once R*N row-projections undercut E gathered ones
-            if self.num_relations * num_nodes <= num_edges:
-                projected = x @ self.weight                   # (R, N, O)
-                messages = projected[(rel, src)]              # (E, O)
-            else:
-                messages = F.segment_matmul(x.index_select(src), self.weight,
-                                            layout.offsets)   # (E, O)
+            src, dst = layout.src, layout.dst
+            messages = F.segment_matmul(x.index_select(src), self.weight,
+                                        layout.offsets)       # (E, O)
             scale = np.ones(num_edges, dtype=x.data.dtype)
             if self.use_edge_weight and edge_weight is not None:
                 scale += layout.sort(edge_weight, dtype=x.data.dtype)
@@ -96,14 +93,13 @@ class RGCNConv(MessagePassing):
 
     def forward_packed(self, x: np.ndarray, packed,
                        edge_weight: Optional[np.ndarray] = None) -> np.ndarray:
-        """Packed-batch kernel over a merged block-diagonal layout.
+        """The inference kernel over a merged block-diagonal layout.
 
-        Same bit-identity discipline as :meth:`RGATConv.forward_packed`:
-        the root projection, the per-relation message projections and the
-        scatter-add all run per graph with solo shapes (including each
-        graph's own dense/sparse branch decision and the solo
-        ``segment_sum_data`` size threshold), while the per-edge mean/weight
-        scaling runs once over the merged layout.  Inference-only.
+        Same bit-identity discipline as :meth:`RGATConv.forward_packed`: the
+        root projection runs per graph and the message projections per
+        (graph, relation) chunk, so every GEMM keeps the shape it has when
+        the graph is packed alone, while the per-edge mean/weight scaling and
+        the scatter-add run once over the merged layout.  Inference-only.
         """
         layout = packed.layout
         num_nodes = layout.num_nodes
@@ -117,23 +113,13 @@ class RGCNConv(MessagePassing):
             n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
             np.matmul(x[n0:n1], root, out=out[n0:n1])
         if num_edges:
-            src, dst = layout.src, layout.dst
             # chunks partition every graph's edges: each message row is
             # written exactly once, so the buffer starts uninitialised
             messages = np.empty((num_edges, self.out_channels),
                                 dtype=np.result_type(x, weight))
-            for g, chunks in enumerate(packed.chunks):
-                if not chunks:
-                    continue
-                n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
-                graph_edges = sum(hi - lo for _, lo, hi in chunks)
-                if self.num_relations * (n1 - n0) <= graph_edges:
-                    projected = x[n0:n1] @ weight          # (R, N_g, O)
-                    for relation, lo, hi in chunks:
-                        messages[lo:hi] = projected[relation][src[lo:hi] - n0]
-                else:
-                    F.packed_segment_matmul_data(x, src, weight, chunks,
-                                                 messages)
+            for chunks in packed.chunks:
+                F.packed_segment_matmul_data(x, layout.src, weight, chunks,
+                                             messages)
             scale = np.ones(num_edges, dtype=x.dtype)
             if self.use_edge_weight and edge_weight is not None:
                 scale += layout.sort(edge_weight, dtype=x.dtype)
@@ -142,13 +128,7 @@ class RGCNConv(MessagePassing):
                 minlength=num_nodes * self.num_relations).astype(x.dtype)
             scale /= counts[layout.cell_dst]
             messages *= scale[:, None]
-            for g in range(packed.num_graphs):
-                rows = packed.solo_rows(g)
-                if not rows.size:
-                    continue
-                n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
-                out[n0:n1] += segment_sum_data(messages[rows], dst[rows] - n0,
-                                               n1 - n0)
+            out += layout.scatter_sum(messages)
         return out + self.bias.data
 
     def forward_reference(

@@ -15,7 +15,7 @@ The trainer reproduces the setup of §IV-B:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..nn.losses import MSELoss
 from ..nn.module import Module
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
-from ..paragraph.encoders import GraphBatch
+from ..paragraph.encoders import EncodedGraph, GraphBatch
 from .dataset import GraphDataset
 from .metrics import normalized_rmse, rmse
 from .scaler import LogMinMaxScaler, MinMaxScaler
@@ -124,73 +124,65 @@ class Trainer:
         )
 
     # ------------------------------------------------------------------ #
-    def predict(self, dataset: GraphDataset, batch_size: Optional[int] = None,
-                dtype=None) -> np.ndarray:
-        """Predict runtimes (microseconds) for every sample in *dataset*.
+    def predict(self, dataset: Iterable[EncodedGraph],
+                batch_size: Optional[int] = None, dtype=None) -> np.ndarray:
+        """Predict runtimes (microseconds) for every graph in *dataset*.
 
-        Inference runs on the no-graph fast path (``repro.nn.no_grad``) in
-        float64, the one precision the engine serves.  *dtype* survives only
-        so callers written against the former float32/float64 switch keep
-        working: ``None`` or float64 is accepted, anything else raises
-        :class:`ValueError` rather than silently serving a precision other
-        than the one asked for.
+        When the model has a packed kernel (``model.supports_packed()``),
+        the graphs run through the kernel serving uses: they are packed into
+        block-diagonal batches (:func:`repro.gnn.pack_graphs`) of bounded
+        node count (:func:`repro.gnn.split_packs`), and every answer is
+        bit-identical to predicting that graph alone, for any dataset order
+        or split.  Other models (GAT, a custom registered conv, the COMPOFF
+        MLP) run their collated ``no_grad`` forward in batches of
+        *batch_size* graphs (default: the training batch size).
+
+        Inference is float64, the one precision the engine serves.  *dtype*
+        survives only so callers written against the former float32/float64
+        switch keep working: ``None`` or float64 is accepted, anything else
+        raises :class:`ValueError` rather than silently serving a precision
+        other than the one asked for.
         """
         if dtype is not None and np.dtype(dtype) != np.float64:
             raise ValueError(
                 f"predictions are served in float64 only, got dtype={dtype!r}")
         if not self._fitted_scalers:
             raise RuntimeError("Trainer.fit must run before predict")
-        if len(dataset) == 0:
+        graphs = list(dataset)
+        if not graphs:
             return np.zeros(0)
         from ..obs.tracing import span
 
-        batch_size = batch_size or self.config.batch_size
         outputs: List[np.ndarray] = []
-        for batch in dataset.batches(batch_size, shuffle=False):
-            scaled = self._scaled_batch(batch)
-            with span("engine.forward", num_graphs=scaled.num_graphs,
-                      packed=False):
-                outputs.append(self.model.predict(scaled))
+        supports = getattr(self.model, "supports_packed", None)
+        if supports is not None and supports():
+            # imported lazily: repro.gnn pulls in the api registries, which
+            # in turn import this module
+            from ..gnn.packing import pack_graphs, split_packs
+
+            for pack in split_packs(graphs):
+                batch = pack_graphs(pack, self.model.num_relations)
+                batch.aux_features = self.aux_scaler.transform(
+                    batch.aux_features)
+                with span("engine.forward", num_graphs=len(pack),
+                          packed=True):
+                    outputs.append(self.model.predict_packed(batch))
+        else:
+            collated = GraphDataset(graphs, name="predict")
+            for batch in collated.batches(batch_size or self.config.batch_size,
+                                          shuffle=False):
+                scaled = self._scaled_batch(batch)
+                with span("engine.forward", num_graphs=scaled.num_graphs,
+                          packed=False):
+                    outputs.append(self.model.predict(scaled))
         scaled_predictions = np.concatenate(outputs).astype(np.float64)
         # clamp to the scaler's range before inverting so expm1 cannot overflow
         scaled_predictions = np.clip(scaled_predictions, 0.0, 1.0)
         return self.target_scaler.inverse_transform(scaled_predictions)
 
-    def predict_packed(self, graphs) -> np.ndarray:
-        """Predict runtimes for *graphs* through one packed forward.
-
-        Packs the encoded graphs into block-diagonal batches
-        (:func:`repro.gnn.pack_graphs`) and runs the model's fused
-        multi-graph kernel — results are bit-identical to predicting each
-        graph alone, for any packing order.  Large batches split into
-        sub-packs of bounded node count (:func:`repro.gnn.split_packs`) so
-        a fused forward's working set stays cache-resident; splitting
-        changes nothing numerically.  Models without a packed kernel (e.g.
-        the COMPOFF MLP or a custom registered conv) transparently fall
-        back to :meth:`predict`.
-        """
-        if not self._fitted_scalers:
-            raise RuntimeError("Trainer.fit must run before predict")
-        graphs = list(graphs)
-        if not graphs:
-            return np.zeros(0)
-        supports = getattr(self.model, "supports_packed", None)
-        if supports is None or not supports():
-            return self.predict(GraphDataset(graphs, name="predict"))
-        # imported lazily: repro.gnn pulls in the api registries, which in
-        # turn import this module
-        from ..gnn.packing import pack_graphs, split_packs
-        from ..obs.tracing import span
-
-        results = []
-        for pack in split_packs(graphs):
-            batch = pack_graphs(pack, self.model.num_relations)
-            batch.aux_features = self.aux_scaler.transform(batch.aux_features)
-            with span("engine.forward", num_graphs=len(pack), packed=True):
-                outputs = self.model.predict_packed(batch)
-            results.append(np.asarray(outputs).astype(np.float64))
-        scaled_predictions = np.clip(np.concatenate(results), 0.0, 1.0)
-        return self.target_scaler.inverse_transform(scaled_predictions)
+    def predict_packed(self, graphs: Iterable[EncodedGraph]) -> np.ndarray:
+        """:meth:`predict` over a list of encoded graphs (the serving call)."""
+        return self.predict(graphs)
 
     def evaluate(self, dataset: GraphDataset) -> Dict[str, float]:
         """RMSE / normalized RMSE of the current model on *dataset*."""

@@ -12,7 +12,7 @@ A :class:`Span` is one timed operation; spans nest into a tree rooted in a
         serve.encode                   cached graph construction
         stage.predict                  the PredictStage forward
           engine.pack                  block-diagonal packing
-          engine.forward               the fused GNN forward
+          engine.forward               the packed GNN forward
 
 Tracing is **off by default** and mirrors the
 :func:`~repro.reliability.faults.fault_point` fast path: :func:`span` is a

@@ -13,7 +13,8 @@ cross-layer invariant checked over many seeded generated cases:
 * ``graph-validity`` — the random-graph generator only emits valid graphs
   and block-diagonal batches,
 * ``gnn-forward-parity`` / ``gnn-gradient-parity`` — the vectorized RGAT /
-  RGCN kernels (including the fused ``no_grad`` path) match the seed
+  RGCN kernels (the training ``forward`` and the ``forward_packed``
+  inference kernel on a one-graph pack) match the seed
   ``forward_reference`` implementations on random shapes,
 * ``pooling-paths`` — the sorted-batch ``reduceat`` pooling shortcut, the
   autodiff fallback and a NumPy oracle agree,
@@ -36,7 +37,8 @@ cross-layer invariant checked over many seeded generated cases:
 * ``packed-forward-parity`` — the packed block-diagonal multi-graph
   forward (:mod:`repro.gnn.packing`) is float64 bit-identical to
   predicting each graph alone, for random models, batch compositions and
-  packing orders.
+  packing orders, and agrees with the collated ``no_grad`` forward to
+  rounding.
 * ``staged-encode-parity`` — the session's staged encode (structure once
   per source text, ``Child``-edge weights once per context) equals a fresh
   parse → analyze → build → encode for every spec, array for array, over
@@ -276,7 +278,7 @@ def _gnn_case(seed: int):
 
 
 def check_gnn_forward_parity(seed: int) -> None:
-    from ..nn.tensor import no_grad
+    from ..gnn.packing import pack_graphs
 
     encoded, convs, Tensor = _gnn_case(seed)
     arguments = (encoded.edge_index, encoded.edge_type, encoded.edge_weight)
@@ -285,10 +287,12 @@ def check_gnn_forward_parity(seed: int) -> None:
         vectorized = conv(Tensor(encoded.node_features), *arguments)
         np.testing.assert_allclose(vectorized.data, reference.data, atol=1e-9,
                                    err_msg=type(conv).__name__)
-        with no_grad():                 # fused inference kernel
-            fused = conv(Tensor(encoded.node_features), *arguments)
-        np.testing.assert_allclose(fused.data, reference.data, atol=1e-9,
-                                   err_msg=f"{type(conv).__name__} (no_grad)")
+        # the inference kernel on a one-graph pack, as serving runs it
+        packed = pack_graphs([encoded], conv.num_relations)
+        served = conv.forward_packed(packed.node_features, packed.layout,
+                                     packed.edge_weight)
+        np.testing.assert_allclose(served, reference.data, atol=1e-9,
+                                   err_msg=f"{type(conv).__name__} (packed)")
 
 
 def check_gnn_gradient_parity(seed: int) -> None:
@@ -811,17 +815,21 @@ def check_packed_forward_parity(seed: int) -> None:
 
     Seeded plan: a small :class:`~repro.gnn.models.ParaGraphModel`
     (seed-chosen conv kind, depth, heads and readout) with fitted scalers
-    predicts 2-6 random graphs one at a time — the per-graph reference
-    loop serving keeps for parity — and then through
-    :meth:`~repro.ml.trainer.Trainer.predict_packed` under several random
-    packing orders.  Every packed float64 result must equal its solo
-    reference **bit for bit**: the packed kernel keeps all BLAS calls at
-    solo shapes, so batch composition must not change a single bit (the
-    contract SERVING.md's "Packed batching" section documents).
+    predicts 2-6 random graphs one at a time — each a pack of one — and
+    then all together through :meth:`~repro.ml.trainer.Trainer.predict_packed`
+    under several random packing orders.  Every packed float64 result must
+    equal its solo answer **bit for bit**: the packed kernel keeps all BLAS
+    calls at solo shapes, so batch composition must not change a single bit
+    (the contract SERVING.md's "Packed batching" section documents).  So
+    that the solo answer is not only checked against itself, each graph's
+    raw model output must also match the collated ``no_grad`` forward
+    (:meth:`~repro.gnn.models.ParaGraphModel.predict`) to rounding.
     """
     from ..gnn.models import ParaGraphModel
+    from ..gnn.packing import pack_graphs
     from ..ml.dataset import GraphDataset
     from ..ml.trainer import Trainer, TrainingConfig
+    from ..paragraph.encoders import GraphEncoder
 
     rng = np.random.default_rng(seed)
     num_relations = int(rng.choice([1, 2, NUM_EDGE_TYPES]))
@@ -844,6 +852,14 @@ def check_packed_forward_parity(seed: int) -> None:
     assert model.supports_packed()
     trainer = Trainer(model, TrainingConfig(epochs=1))
     trainer._fit_scalers(GraphDataset(graphs, name="synth-packed"))
+    for index, graph in enumerate(graphs):
+        solo = pack_graphs([graph], num_relations)
+        solo.aux_features = trainer.aux_scaler.transform(solo.aux_features)
+        collated = trainer._scaled_batch(GraphEncoder.collate([graph]))
+        np.testing.assert_allclose(
+            model.predict_packed(solo), model.predict(collated), rtol=1e-12,
+            atol=1e-12, err_msg=f"graph {index}: packed kernel vs collated "
+                                "no_grad forward")
     reference = np.concatenate([
         trainer.predict(GraphDataset([graph], name="solo"))
         for graph in graphs])
@@ -853,7 +869,7 @@ def check_packed_forward_parity(seed: int) -> None:
         np.testing.assert_array_equal(
             packed, reference[order],
             err_msg=f"packing order {order.tolist()} changed float64 bits")
-    # single-graph packs ride the same path inline serving uses
+    # a one-graph list rides the same path serving's singles use
     np.testing.assert_array_equal(trainer.predict_packed(graphs[:1]),
                                   reference[:1])
 

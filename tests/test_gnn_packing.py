@@ -67,11 +67,12 @@ class TestMergeLayouts:
             np.repeat(np.arange(len(graphs)),
                       [g.num_nodes for g in graphs]))
 
-    def test_solo_rows_recover_each_graphs_solo_edge_order(self):
+    def test_chunks_recover_each_graphs_solo_edge_order(self):
         graphs, layouts = _layouts([21, 22, 23, 24])
         packed = merge_layouts(layouts)
         for g, solo in enumerate(layouts):
-            rows = packed.solo_rows(g)
+            rows = np.concatenate([np.arange(lo, hi)
+                                   for _, lo, hi in packed.chunks[g]])
             offset = int(packed.node_offsets[g])
             np.testing.assert_array_equal(packed.layout.src[rows] - offset,
                                           solo.src)

@@ -1,11 +1,11 @@
 """Parity regressions for the vectorized relational GNN kernels.
 
 The vectorized ``RGATConv`` / ``RGCNConv`` forwards (relation-bucketed edge
-layout + stacked projections + fused gather/softmax/scatter) must reproduce
-the seed per-relation-loop implementations — kept as ``forward_reference`` —
-to float64 precision, for values *and* gradients, across dense and sparse
-relation regimes.  Also covers the edge-layout cache and the cached
-self-loop helper.
+layout + per-relation-block projections + fused gather/softmax/scatter)
+must reproduce the seed per-relation-loop implementations — kept as
+``forward_reference`` — to float64 precision, for values *and* gradients,
+across edge-rich, sparse, single-relation and empty-relation regimes.  Also
+covers the edge-layout cache.
 """
 
 import numpy as np
@@ -18,8 +18,6 @@ from repro.gnn import (
     RGATConv,
     RGCNConv,
     RelationalEdgeLayout,
-    add_self_loops,
-    cached_add_self_loops,
     get_edge_layout,
 )
 from repro.nn import Tensor
@@ -34,8 +32,8 @@ def random_graph(num_nodes, num_edges, num_relations, dim=5, seed=0):
     return x, edge_index, edge_type, edge_weight
 
 
-# ``(N, E, R)`` regimes: dense (stacked-einsum path, R*N <= 2E), sparse
-# relations (gathered segment-matmul path), single relation, empty relations
+# ``(N, E, R)`` regimes: edge-rich (R*N <= 2E), sparse relations, single
+# relation, empty relations
 REGIMES = [(6, 30, 3), (12, 6, 8), (7, 25, 1), (10, 18, 8)]
 
 
@@ -203,24 +201,6 @@ class TestEdgeLayout:
         b = get_edge_layout(ei.copy(), et.copy(), 3, 2)
         assert a is b
         assert edge_layout_cache_info().hits >= before.hits + 1
-
-
-class TestCachedSelfLoops:
-    def test_matches_uncached(self):
-        ei = np.array([[0, 1], [1, 2]])
-        et = np.array([1, 2])
-        ew = np.array([0.5, 0.7])
-        plain = add_self_loops(ei, 3, edge_type=et, edge_weight=ew)
-        cached = cached_add_self_loops(ei, 3, edge_type=et, edge_weight=ew)
-        for a, b in zip(plain, cached):
-            np.testing.assert_array_equal(a, b)
-
-    def test_repeated_calls_share_arrays(self):
-        ei = np.array([[0, 1], [1, 2]])
-        first = cached_add_self_loops(ei, 3)
-        second = cached_add_self_loops(ei.copy(), 3)
-        assert first[0] is second[0]
-        assert not first[0].flags.writeable   # shared result is read-only
 
 
 class TestGATStillWorks:

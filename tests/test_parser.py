@@ -177,6 +177,9 @@ class TestIntegerLiterals:
         with pytest.raises(ParseError, match=message) as caught:
             parse_snippet(f"int x;\n  x = {text};")
         assert (caught.value.token.line, caught.value.token.column) == (2, 7)
+        # the message echoes a bounded prefix; the token keeps the whole text
+        assert len(str(caught.value)) < 200
+        assert caught.value.token.text == text
 
 
 class TestStatements:

@@ -1,7 +1,8 @@
 """GNN property suite: differential parity over random graph shapes.
 
-Sweeps the vectorized-vs-``forward_reference`` parity scenarios (forward,
-fused ``no_grad`` kernel and gradients) and the pooling-path scenarios from :mod:`repro.synth.harness`, and adds the
+Sweeps the vectorized-vs-``forward_reference`` parity scenarios (training
+``forward``, the ``forward_packed`` inference kernel on a one-graph pack,
+and gradients) and the pooling-path scenarios from :mod:`repro.synth.harness`, and adds the
 edge-layout LRU coverage the PR-2 cache still lacked: eviction *order*,
 recency updates on hit, and content addressing across array layouts.
 """

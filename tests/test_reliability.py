@@ -592,9 +592,10 @@ class TestServerBreaker:
 
 
 class TestHostileConstants:
-    """Constants that no 64-bit C type holds fall back to the default trip
-    count, and execution counts saturate: each source predicts a finite
-    value instead of raising (or answering ``nan``)."""
+    """Constants that no 64-bit C type holds, or that fold only through a
+    chain of declarations deeper than the fold budget, fall back to the
+    default trip count, and execution counts saturate: each source predicts
+    a finite value instead of raising (or answering ``nan``)."""
 
     SOURCES = [
         "void k(int n) { for (int i = 0; i < 1e999; i++) { n += i; } }",
@@ -605,6 +606,9 @@ class TestHostileConstants:
                                      for d in range(20)) + "n += 1;" + " }" * 20 + " }",
         "void k(int n) { for (int i = 0; i < 1 << 8000000; i++) { n += i; } }",
         "void k(int n) { for (int i = 0; i < 1 << -1; i++) { n += i; } }",
+        "void k(int n) { int x0 = 1; "
+        + " ".join(f"int x{d} = x{d - 1} + 1;" for d in range(1, 400))
+        + " for (int i = 0; i < x399; i++) { n += i; } }",
     ]
 
     def test_hostile_constants_predict_finite_values(self, warm_stack):

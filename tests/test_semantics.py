@@ -271,6 +271,19 @@ class TestConstantFoldingEdges:
         # inside the parser's nesting limit
         assert evaluate_constant(parse_expr(" + ".join(["1"] * 500))) == 500
 
+    @pytest.mark.parametrize("length, value", [(100, 100), (400, None)])
+    def test_declaration_chains_share_the_fold_budget(self, length, value):
+        # each hop to a declaration's initializer spends the same depth
+        # budget as an expression level: a long chain is "not evaluable"
+        source = ("void k() { int x0 = 1; "
+                  + " ".join(f"int x{i} = x{i - 1} + 1;" for i in range(1, length))
+                  + f" int last = x{length - 1}; }}")
+        root = parse_source(source)
+        analyze(root)
+        last = next(node for node in root.walk()
+                    if isinstance(node, VarDecl) and node.name == "last")
+        assert evaluate_constant(last.init) == value
+
     def test_values_inside_64_bits_fold(self):
         assert evaluate_constant(parse_expr("1 << 63")) == 2 ** 63
         assert evaluate_constant(parse_expr("18446744073709551615")) == 2 ** 64 - 1
