@@ -7,8 +7,8 @@ cold predictions by a wide margin.  This benchmark trains one compact V100
 model, then times
 
 * **cold** — 8 independent single-source predictions with the cache dropped
-  before each (the old ``run_workflow``-path cost: one full graph
-  construction + one forward pass per source), and
+  before each (one full graph construction + one forward pass per
+  source), and
 * **cached** — one ``predict_batch`` call over the same 8 sources after a
   warm-up call (pure cache hits + one batched forward pass),
 

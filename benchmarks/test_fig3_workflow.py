@@ -6,22 +6,27 @@ collected, graphs encoded, a model trained, and predictions returned in
 microseconds.
 """
 
+from repro.api import DataConfig, ModelConfig, ReproConfig, Session
 from repro.hardware import V100
 from repro.kernels import get_kernel
 from repro.ml.trainer import TrainingConfig
-from repro.pipeline import SweepConfig, WorkflowConfig, run_workflow
+from repro.pipeline import SweepConfig
 
 
 def run_compact_workflow():
-    config = WorkflowConfig(
-        sweep=SweepConfig(size_scales=(0.5, 1.0), team_counts=(64,), thread_counts=(8, 64),
-                          kernels=[get_kernel("matmul"), get_kernel("matvec"),
-                                   get_kernel("laplace_sweep"), get_kernel("pf_normalize")]),
+    config = ReproConfig(
+        data=DataConfig(
+            sweep=SweepConfig(size_scales=(0.5, 1.0), team_counts=(64,),
+                              thread_counts=(8, 64),
+                              kernels=[get_kernel("matmul"), get_kernel("matvec"),
+                                       get_kernel("laplace_sweep"),
+                                       get_kernel("pf_normalize")]),
+            platforms=(V100,)),
+        model=ModelConfig(hidden_dim=16),
         training=TrainingConfig(epochs=10, batch_size=16, learning_rate=2e-3, seed=0),
-        hidden_dim=16,
         seed=0,
     )
-    return run_workflow(config, platforms=(V100,))
+    return Session(config).workflow()
 
 
 def test_fig3_end_to_end_workflow(benchmark):

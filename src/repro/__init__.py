@@ -17,8 +17,8 @@ et al.), including every substrate the paper depends on:
   dependences) with text/JSON reports and a CLI,
 * ``repro.compoff`` -- the COMPOFF baseline cost model,
 * ``repro.hardware`` -- analytical Summit/Corona accelerator simulator,
-* ``repro.pipeline`` -- the legacy end-to-end workflow (thin shim over
-  ``repro.api``),
+* ``repro.pipeline`` -- the data side of the workflow: configuration
+  sweeps, graph generation, simulated runtimes and per-platform datasets,
 * ``repro.reliability`` -- the failure model: seeded fault injection,
   deadline/retry/backoff semantics, per-shard circuit breakers and the
   typed error taxonomy the serving + store stack degrades through,

@@ -22,8 +22,8 @@ counts — exactly the hand-engineered features §II-D describes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..clang import analyze
 from ..clang.ast_nodes import (
@@ -33,7 +33,6 @@ from ..clang.ast_nodes import (
     CallExpr,
     CompoundAssignOperator,
     DeclRefExpr,
-    ForStmt,
     FunctionDecl,
     IfStmt,
     UnaryOperator,
@@ -68,15 +67,6 @@ class OperationCounts:
     def memory_bytes(self) -> float:
         """Bytes touched, assuming 8-byte elements per access."""
         return 8.0 * self.memory_accesses
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "arithmetic": self.arithmetic,
-            "comparisons": self.comparisons,
-            "memory_accesses": self.memory_accesses,
-            "math_calls": self.math_calls,
-            "branches": self.branches,
-        }
 
 
 @dataclass

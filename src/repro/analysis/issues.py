@@ -11,7 +11,7 @@ the planted-defect scenario round-trips every report through it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -135,9 +135,6 @@ class Report:
         for issue in self.issues:
             grouped.setdefault(issue.checker, []).append(issue)
         return grouped
-
-    def for_checker(self, checker: str) -> List[Issue]:
-        return [issue for issue in self.issues if issue.checker == checker]
 
     def merged(self, other: "Report") -> "Report":
         """Combine two reports (multi-file CLI runs)."""

@@ -1,11 +1,13 @@
 """``repro.api`` — the composable public surface of the reproduction.
 
-The session layer redesigns the monolithic ``run_workflow`` driver into
-staged, typed, registry-driven components:
+The session layer runs the paper's workflow (Fig. 3) as staged, typed,
+registry-driven components:
 
 * :class:`~repro.api.session.Session` — train once, predict many times;
   :meth:`~repro.api.session.Session.predict_batch` is the serving hot path
-  with an LRU graph-construction cache,
+  with an LRU graph-construction cache, and
+  :meth:`~repro.api.session.Session.workflow` returns the
+  :class:`~repro.api.session.WorkflowResult` of one training run,
 * :class:`~repro.api.pipeline.Pipeline` and the stages in
   :mod:`repro.api.stages` — chainable ``ParseStage`` / ``GraphStage`` /
   ``EncodeStage`` / ``DatasetStage`` / ``TrainStage`` / ``PredictStage``,
@@ -31,6 +33,7 @@ _EXPORTS = {
     # session facade
     "Session": ".session",
     "CacheInfo": ".session",
+    "WorkflowResult": ".session",
     # pipeline & stages
     "Pipeline": ".pipeline",
     "PipelineContext": ".pipeline",
@@ -42,6 +45,7 @@ _EXPORTS = {
     "EncodeStage": ".stages",
     "DatasetStage": ".stages",
     "TrainStage": ".stages",
+    "PlatformResult": ".stages",
     "PredictStage": ".stages",
     # configuration
     "ReproConfig": ".config",

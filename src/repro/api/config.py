@@ -13,7 +13,7 @@ service deployment can ship configs as JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..hardware.specs import ALL_PLATFORMS, HardwareSpec
 from ..ml.trainer import TrainingConfig
@@ -45,20 +45,6 @@ def coerce_graph_variant(value: Union[str, GraphVariant]) -> GraphVariant:
         valid = [variant.value for variant in GraphVariant]
         raise ValueError(
             f"unknown graph variant {value!r}; valid variants: {valid}") from None
-
-
-def _check_conv(conv: str) -> None:
-    if conv not in conv_registry:
-        raise ValueError(
-            f"unknown convolution {conv!r}; registered convolutions: "
-            f"{conv_registry.keys()} (add your own with repro.api.register_conv)")
-
-
-def _check_train_fraction(train_fraction: float) -> None:
-    if not 0.0 < float(train_fraction) < 1.0:
-        raise ValueError(
-            f"train_fraction must be strictly between 0 and 1 (exclusive), got "
-            f"{train_fraction!r}; the paper's 9:1 split corresponds to 0.9")
 
 
 # --------------------------------------------------------------------- #
@@ -144,7 +130,10 @@ class ModelConfig:
         if self.readout not in READOUTS:
             raise ValueError(
                 f"unknown readout {self.readout!r}; valid readouts: {list(READOUTS)}")
-        _check_conv(self.conv)
+        if self.conv not in conv_registry:
+            raise ValueError(
+                f"unknown convolution {self.conv!r}; registered convolutions: "
+                f"{conv_registry.keys()} (add your own with repro.api.register_conv)")
 
     def build(self, node_feature_dim: int, use_edge_weight: bool = True,
               seed: Optional[int] = None):
@@ -176,7 +165,10 @@ class ReproConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_train_fraction(self.train_fraction)
+        if not 0.0 < float(self.train_fraction) < 1.0:
+            raise ValueError(
+                f"train_fraction must be strictly between 0 and 1 (exclusive), got "
+                f"{self.train_fraction!r}; the paper's 9:1 split corresponds to 0.9")
 
     # ------------------------------------------------------------------ #
     def platform_specs(self) -> Tuple[HardwareSpec, ...]:
@@ -196,25 +188,3 @@ class ReproConfig:
         """Inverse of :meth:`to_dict`; missing keys fall back to defaults."""
         from .serialization import config_from_dict
         return config_from_dict(payload)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_workflow_config(cls, config, platforms: Optional[Sequence] = None) -> "ReproConfig":
-        """Adapt a legacy :class:`~repro.pipeline.workflow.WorkflowConfig`."""
-        from ..pipeline.workflow import WorkflowConfig
-        if not isinstance(config, WorkflowConfig):
-            raise TypeError(f"expected WorkflowConfig, got {type(config).__name__}")
-        platform_names: Tuple[Union[str, HardwareSpec], ...]
-        if platforms is None:
-            platform_names = tuple(spec.name for spec in ALL_PLATFORMS)
-        else:
-            platform_names = tuple(platforms)
-        return cls(
-            data=DataConfig(sweep=config.sweep, platforms=platform_names,
-                            noisy_runtimes=config.noisy_runtimes),
-            graph=GraphConfig(variant=config.graph_variant),
-            model=ModelConfig(hidden_dim=config.hidden_dim, conv=config.conv),
-            training=config.training,
-            train_fraction=config.train_fraction,
-            seed=config.seed,
-        )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +44,6 @@ from ..hardware.specs import HardwareSpec
 from ..ml.trainer import Trainer
 from ..paragraph.encoders import EncodedGraph
 from ..pipeline.dataset_builder import DatasetBuildResult
-from ..pipeline.workflow import PlatformResult, WorkflowResult
 from ..serve.server import Server, ServerConfig
 from .config import ReproConfig
 from .pipeline import Pipeline
@@ -53,11 +53,24 @@ from .stages import (
     EncodeStage,
     GraphStage,
     ParseStage,
+    PlatformResult,
     SourceSpec,
     TrainStage,
 )
 
-__all__ = ["CacheInfo", "Session"]
+__all__ = ["CacheInfo", "Session", "WorkflowResult"]
+
+
+@dataclass
+class WorkflowResult:
+    """Per-platform results plus the shared dataset build information."""
+
+    build: DatasetBuildResult
+    platforms: Dict[str, PlatformResult]
+
+    def metrics_table(self) -> Dict[str, Dict[str, float]]:
+        """Platform name → {rmse, normalized_rmse} (the Table III shape)."""
+        return {name: dict(result.metrics) for name, result in self.platforms.items()}
 
 
 class CacheInfo(NamedTuple):
@@ -203,7 +216,7 @@ class Session:
             return self._platform_results
 
     def workflow(self) -> WorkflowResult:
-        """The legacy one-call result shape (datasets + trained platforms)."""
+        """The Fig. 3 workflow in one call: datasets + trained platforms."""
         platform_results = self.train()
         if self._build is None:
             raise RuntimeError(

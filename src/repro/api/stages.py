@@ -24,14 +24,15 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..clang import analyze, parse_snippet, parse_source
 from ..clang.semantics import ConstantEnvironment
+from ..hardware.specs import HardwareSpec
+from ..ml.dataset import GraphDataset
 from ..ml.split import train_val_split
-from ..ml.trainer import Trainer
+from ..ml.trainer import History, Trainer
 from ..paragraph.builder import build_paragraph
 from ..paragraph.encoders import GraphEncoder
 from ..paragraph.weights import WeightConfig, child_edge_weights
 from ..pipeline.dataset_builder import DatasetBuilder
 from ..pipeline.variant_generation import generate_configurations
-from ..pipeline.workflow import PlatformResult
 from .config import GraphConfig, ReproConfig
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "EncodeStage",
     "GraphStage",
     "ParseStage",
+    "PlatformResult",
     "PredictStage",
     "SourceSpec",
     "Stage",
@@ -210,6 +212,19 @@ class DatasetStage(Stage):
         context["configurations"] = list(configurations)
         context["encoder"] = self.encoder
         context["build"] = builder.build(configurations=configurations)
+
+
+@dataclass
+class PlatformResult:
+    """Everything :class:`TrainStage` produces for one platform."""
+
+    platform: HardwareSpec
+    dataset: GraphDataset
+    train: GraphDataset
+    validation: GraphDataset
+    trainer: Trainer
+    history: History
+    metrics: Dict[str, float]
 
 
 class TrainStage(Stage):

@@ -16,12 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..api.config import DataConfig, GraphConfig, ModelConfig, ReproConfig
 from ..api.pipeline import Pipeline
-from ..api.stages import DatasetStage, TrainStage
+from ..api.stages import DatasetStage, PlatformResult, TrainStage
 from ..hardware.specs import ALL_PLATFORMS, HardwareSpec, MI50
 from ..ml.trainer import History, TrainingConfig
 from ..paragraph.variants import ABLATION_ORDER, GraphVariant
 from ..pipeline.variant_generation import SweepConfig, generate_configurations
-from ..pipeline.workflow import PlatformResult
 
 
 @dataclass

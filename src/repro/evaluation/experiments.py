@@ -1,6 +1,6 @@
 """Experiment drivers for the paper's main results (Tables II–III, Figs. 4–6).
 
-Every driver consumes a :class:`~repro.pipeline.workflow.WorkflowResult`
+Every driver consumes a :class:`~repro.api.session.WorkflowResult`
 (one trained ParaGraph model per platform over the same configuration sweep)
 and produces the rows / series of the corresponding table or figure, so the
 benchmarks under ``benchmarks/`` only need to run the workflow once and call
@@ -12,15 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..api.config import DataConfig, ModelConfig, ReproConfig
-from ..api.session import Session
+from ..api.session import Session, WorkflowResult
 from ..hardware.specs import ALL_PLATFORMS, HardwareSpec
 from ..ml import metrics as M
 from ..pipeline.dataset_builder import table2_statistics
 from ..pipeline.variant_generation import SweepConfig
-from ..pipeline.workflow import PlatformResult, WorkflowResult
 
 
 # --------------------------------------------------------------------- #

@@ -78,7 +78,12 @@ class RelationalEdgeLayout:
     #: memoized sparse scatter matrix for the message aggregation (a
     #: one-element list so the frozen dataclass can fill it in later)
     _matrix: list = field(default_factory=list, compare=False, repr=False)
-    #: guards ``_matrix`` — layouts are shared across serving workers
+    #: memoized parts of this graph's one-graph pack (see
+    #: :func:`repro.gnn.packing.merge_layouts`), kept here rather than in
+    #: the packed-layout LRU
+    _solo_pack: list = field(default_factory=list, compare=False, repr=False)
+    #: guards ``_matrix`` and ``_solo_pack`` — layouts are shared across
+    #: serving workers
     _matrix_lock: threading.Lock = field(default_factory=threading.Lock,
                                          compare=False, repr=False)
 

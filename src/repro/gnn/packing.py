@@ -27,7 +27,10 @@ per-graph content digests.  Packed compositions are combinatorial (every
 micro-batch shuffle is a new key), so letting them share the
 ``edge_layout`` LRU would thrash the hot single-graph layouts serving also
 needs; the per-graph lookups still go through that main cache, keeping
-single-graph entries hot.
+single-graph entries hot.  One-graph packs — every served single, every
+``Trainer.predict`` over a one-graph dataset — stay out of the packed LRU,
+where they would evict the multi-graph compositions: a one-graph pack is
+the solo layout itself plus three small parts memoized on it.
 """
 
 from __future__ import annotations
@@ -153,6 +156,8 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
     """
     if not layouts:
         raise ValueError("merge_layouts needs at least one layout")
+    if len(layouts) == 1:
+        return _solo_pack(layouts[0])
     num_relations = layouts[0].num_relations
     if any(l.num_relations != num_relations for l in layouts):
         raise ValueError("all layouts must share num_relations")
@@ -161,17 +166,6 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
     node_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
     np.cumsum(nodes, out=node_offsets[1:])
     batch = np.repeat(np.arange(num_graphs, dtype=np.int64), nodes)
-
-    if num_graphs == 1:
-        # single-graph packs reuse the solo layout object outright, sharing
-        # its scatter-matrix memo with every other pack of that graph alone
-        solo = layouts[0]
-        packed = PackedLayout(
-            layout=solo, num_graphs=1, node_offsets=node_offsets, batch=batch,
-            chunks=(tuple(solo.blocks()),))
-        for array in (packed.node_offsets, packed.batch):
-            array.setflags(write=False)
-        return packed
 
     edges = np.array([l.num_edges for l in layouts], dtype=np.int64)
     edge_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
@@ -242,6 +236,29 @@ def merge_layouts(layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
     return packed
 
 
+def _solo_pack(solo: RelationalEdgeLayout) -> PackedLayout:
+    """A one-graph pack: the solo layout object itself, sharing its
+    scatter-matrix memo with every other pack of that graph alone.
+
+    Its parts (``node_offsets``, ``batch``, ``chunks``) are memoized on
+    *solo* as plain arrays and tuples; memoizing the ``PackedLayout``
+    itself would point back at *solo* and make every layout a reference
+    cycle.
+    """
+    memo = solo._solo_pack
+    if not memo:                 # lock-free fast path (GIL-atomic read)
+        with solo._matrix_lock:
+            if not memo:
+                node_offsets = np.array([0, solo.num_nodes], dtype=np.int64)
+                batch = np.zeros(solo.num_nodes, dtype=np.int64)
+                node_offsets.setflags(write=False)
+                batch.setflags(write=False)
+                memo.append((node_offsets, batch, (tuple(solo.blocks()),)))
+    node_offsets, batch, chunks = memo[0]
+    return PackedLayout(layout=solo, num_graphs=1, node_offsets=node_offsets,
+                        batch=batch, chunks=chunks)
+
+
 class PackedLayoutCache:
     """Content-addressed LRU for merged :class:`PackedLayout` objects.
 
@@ -251,6 +268,10 @@ class PackedLayoutCache:
     reuses one merged layout (and its cached scatter matrices).  Deliberately
     separate from the ``edge_layout`` LRU: compositions are combinatorial and
     would otherwise evict the hot single-graph layouts.
+
+    One-graph packs never enter the LRU (see :func:`_solo_pack`); they
+    count as a hit when the solo layout already carries its pack's parts,
+    and as a miss when they are built.
 
     Same locking discipline as :class:`EdgeLayoutCache`: counters and the
     LRU order are lock-protected, merges run outside the lock, first insert
@@ -274,6 +295,12 @@ class PackedLayoutCache:
 
     def get(self, graph_keys: Sequence[bytes],
             layouts: Sequence[RelationalEdgeLayout]) -> PackedLayout:
+        if len(layouts) == 1:
+            hit = bool(layouts[0]._solo_pack)
+            with self._lock:
+                self.hits += hit
+                self.misses += not hit
+            return _solo_pack(layouts[0])
         key = self._key(graph_keys)
         with self._lock:
             packed = self._entries.get(key)

@@ -8,7 +8,6 @@ needs (application, kernel, variant, platform, problem size, teams/threads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -86,7 +85,3 @@ class GraphDataset:
             chunk = [self.samples[i] for i in order[start:start + batch_size]]
             if chunk:
                 yield GraphEncoder.collate(chunk)
-
-    def full_batch(self) -> GraphBatch:
-        """Collate the entire dataset into one batch."""
-        return GraphEncoder.collate(self.samples)

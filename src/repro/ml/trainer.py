@@ -82,10 +82,6 @@ class History:
     def best_val_rmse(self) -> float:
         return min(self.val_rmses) if self.records else float("inf")
 
-    @property
-    def final_val_rmse(self) -> float:
-        return self.val_rmses[-1] if self.records else float("inf")
-
     def __len__(self) -> int:
         return len(self.records)
 

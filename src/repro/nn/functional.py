@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
 
 def relu(x: Tensor) -> Tensor:
@@ -37,10 +37,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return softmax(x, axis=axis).log()
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:

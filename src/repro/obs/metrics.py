@@ -50,7 +50,6 @@ __all__ = [
     "observe",
     "register_metric_kind",
     "set_gauge",
-    "set_gauge_max",
 ]
 
 
@@ -359,14 +358,6 @@ def set_gauge(name: str, value: float) -> None:
     if registry is None:
         return
     registry.gauge(name).set(value)
-
-
-def set_gauge_max(name: str, value: float) -> None:
-    """Raise the ambient gauge *name* to *value* (no-op without a scope)."""
-    registry = _ACTIVE
-    if registry is None:
-        return
-    registry.gauge(name).set_max(value)
 
 
 @contextmanager

@@ -1,8 +1,9 @@
-"""``repro.pipeline`` — the end-to-end data and training workflow (Fig. 3).
+"""``repro.pipeline`` — the data side of the paper's workflow (Fig. 3).
 
 Variant/configuration sweeps, ParaGraph generation, (simulated) runtime
-collection, dataset assembly with Table II statistics, and the one-call
-workflow used by the examples and benchmarks.
+collection and dataset assembly with Table II statistics.  Training and the
+one-call workflow live in :mod:`repro.api`
+(``Session(ReproConfig(...)).workflow()``).
 """
 
 from .dataset_builder import DatasetBuilder, DatasetBuildResult, table2_statistics
@@ -15,31 +16,19 @@ from .variant_generation import (
     generate_configurations,
     scale_sizes,
 )
-from .workflow import (
-    PlatformResult,
-    WorkflowConfig,
-    WorkflowResult,
-    run_workflow,
-    train_on_dataset,
-)
 
 __all__ = [
     "Configuration",
     "DatasetBuildResult",
     "DatasetBuilder",
     "Measurement",
-    "PlatformResult",
     "RuntimeCollector",
     "SweepConfig",
-    "WorkflowConfig",
-    "WorkflowResult",
     "drop_application",
     "encode_configuration",
     "filter_for_platform",
     "generate_configurations",
     "generate_paragraph",
-    "run_workflow",
     "scale_sizes",
     "table2_statistics",
-    "train_on_dataset",
 ]

@@ -28,9 +28,6 @@ class DatasetBuildResult:
     num_configurations: int
     dropped: Dict[str, int] = field(default_factory=dict)
 
-    def dataset_for(self, platform: HardwareSpec) -> GraphDataset:
-        return self.datasets[platform.name]
-
 
 class DatasetBuilder:
     """Builds the per-platform graph datasets used by every experiment."""

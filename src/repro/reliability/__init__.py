@@ -20,7 +20,7 @@ package gives the reproduction a first-class, *testable* failure model:
   :class:`CircuitBreaker`.
 
 The contract all of it serves (property-tested by the synth scenario
-``serve-under-faults``): under fault injection every request either
+``serving-contract``): under fault injection every request either
 returns a float64 result bit-identical to the fault-free reference or a
 typed error — never a hang, never silent corruption.  See SERVING.md's
 "Failure model" section for the knobs and the degradation table.

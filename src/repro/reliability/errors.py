@@ -1,7 +1,7 @@
 """Typed failure taxonomy of the serving + store stack.
 
 Every way a request can fail under the reliability layer maps to one
-exception type, so callers (and the differential ``serve-under-faults``
+exception type, so callers (and the differential ``serving-contract``
 scenario) can assert the contract *"a result or a typed error — never a
 hang, never silent corruption"* with an ``isinstance`` check:
 

@@ -566,7 +566,7 @@ def load_session(path: str, *, serve_config=None, graph_cache_size: int = 256,
     from ..api.session import Session
     from ..ml.dataset import GraphDataset
     from ..ml.trainer import History
-    from ..pipeline.workflow import PlatformResult
+    from ..api.stages import PlatformResult
 
     loaded = load_trainers(path, verify=verify)
     session = (session_cls or Session)(

@@ -28,12 +28,14 @@ cross-layer invariant checked over many seeded generated cases:
   inside :class:`repro.nn.no_grad` (serving) and a grad-recording thread
   (training) run simultaneously on one shared model and the no-grad flag
   never leaks across threads,
-* ``serve-under-faults`` — the reliability contract: under seeded fault
-  injection (transient forward failures, scheduler/worker delays,
+* ``serving-contract`` — the reliability and tracing contracts together:
+  under seeded topologies (1-3 callers, coalesced batches, breaker on or
+  off) and fault injection (transient forward failures, leader delays,
   admission faults, tight deadlines, a bounded queue) every request
   either returns a float64 result **bit-identical** to its fault-free
   reference or raises a typed reliability error — never a hang, never
-  silent corruption,
+  silent corruption — and yields exactly one complete, valid
+  ``serve.request`` trace,
 * ``packed-forward-parity`` — the packed block-diagonal multi-graph
   forward (:mod:`repro.gnn.packing`) is float64 bit-identical to
   predicting each graph alone, for random models, batch compositions and
@@ -91,6 +93,7 @@ __all__ = [
     "run_cases",
     "scenario_names",
     "seeds_for",
+    "serving_plan",
     "structural_dump",
     "tiny_serving_stack",
 ]
@@ -522,18 +525,20 @@ def check_store_roundtrip(seed: int) -> None:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _tiny_serving_stack(seed: int):
-    """A serving-ready session *without training*: random weights, fitted
-    scalers, restored-results installation — the warm-start shape
-    ``load_session`` produces, built in-process so a fault case costs
-    milliseconds, not a training run.  Returns (session, platform, sources).
+def tiny_serving_stack(seed: int = 0):
+    """A warm-started, serving-ready ``(session, platform, sources)`` triple.
+
+    Random weights, fitted scalers, restored-results installation — the
+    warm-start shape ``load_session`` produces, built in-process without
+    training, so a fault case, a demo or the ``repro.obs`` CLI drives real
+    serving traffic in milliseconds.
     """
     from ..api.config import DataConfig, ModelConfig, ReproConfig
     from ..api.registries import resolve_platform
     from ..api.session import Session
+    from ..api.stages import PlatformResult
     from ..ml.dataset import GraphDataset
     from ..ml.trainer import History, Trainer, TrainingConfig
-    from ..pipeline.workflow import PlatformResult
 
     rng = np.random.default_rng(seed)
     platform = resolve_platform("NVIDIA V100")
@@ -567,128 +572,39 @@ def _tiny_serving_stack(seed: int):
     return session, platform.name, sources
 
 
-def tiny_serving_stack(seed: int = 0):
-    """A warm-started, serving-ready ``(session, platform, sources)`` triple.
-
-    Public wrapper around the harness's in-process stack — random weights,
-    fitted scalers, no training — so demos and the ``repro.obs`` CLI can
-    drive real serving traffic in milliseconds.
-    """
-    return _tiny_serving_stack(seed)
+def serving_plan(seed: int) -> str:
+    """The plan a ``serving-contract`` seed takes: ``"chaos"`` for five
+    seeds in seven, ``"concurrent"`` for the rest."""
+    return "chaos" if seed % 7 < 5 else "concurrent"
 
 
-def check_serve_under_faults(seed: int) -> None:
-    """The ``repro.reliability`` contract, differentially tested.
+def check_serving_contract(seed: int) -> None:
+    """The serving contract under chaos: exact answers and complete traces.
 
-    Seeded plan: a warm-started single-platform session serves a fixed
-    request list twice — once fault-free (the reference) and once inside an
-    :func:`~repro.reliability.inject_faults` scope with seed-chosen
-    transient forward failures, leader delays, admission faults, a bounded
-    queue and (some seeds) an already-expired deadline.  The chaos run
-    submits from one thread with ``max_batch_size=1``, so execution order —
-    and therefore the per-(site, kind) rng streams — replays by seed.
+    Seeded plan: a warm-started session serves a fixed request list (each
+    source as a single, then the whole list as one job) inside an
+    :func:`~repro.reliability.inject_faults` scope, a ``metrics_scope`` and
+    a ``trace_requests`` collector.  Five seeds in seven take the chaos
+    plan (:func:`serving_plan`): one caller, ``max_batch_size=1`` and at least one fault, so the
+    execution order — and with it every per-(site, kind) fault stream —
+    replays exactly by seed.  The rest take the concurrent plan: 1-3
+    callers, batches of up to 3 coalesced singles, the breaker on or off,
+    any subset of the faults.  Either plan draws transient forward
+    failures, leader delays, admission faults, a bounded queue and (some
+    seeds) an already-expired deadline.
 
-    Invariant: every request either yields a float64 result bit-identical
-    to its fault-free reference, or raises one of the typed reliability
-    errors.  A future that does not resolve within the harness timeout is
-    a hang — an immediate failure — and an untyped error or a drifted
-    result is silent corruption.
-    """
-    from concurrent.futures import TimeoutError as FutureTimeout
+    Invariants, checked on every case:
 
-    from ..reliability import (
-        CircuitOpenError,
-        DeadlineExceeded,
-        FaultPlan,
-        FaultSpec,
-        ServerOverloaded,
-        TransientFaultError,
-        inject_faults,
-    )
-    from ..serve import Server, ServerConfig
-
-    rng = np.random.default_rng(seed)
-    session, platform, sources = _tiny_serving_stack(seed)
-    typed = (DeadlineExceeded, ServerOverloaded, CircuitOpenError,
-             TransientFaultError)
-
-    # fault-free float64 references (same execution path)
-    clean = Server(session, ServerConfig(max_retries=0, breaker_threshold=0))
-    references = [float(clean.predict_batch([source], platform)[0])
-                  for source in sources]
-    reference_batch = clean.predict_batch(sources, platform)
-
-    menu = [
-        FaultSpec("engine.forward", "raise",
-                  float(rng.uniform(0.1, 0.5))),
-        FaultSpec("serve.worker", "delay",
-                  float(rng.uniform(0.1, 0.6)),
-                  delay_s=float(rng.uniform(0.001, 0.003))),
-        FaultSpec("serve.submit", "raise",
-                  float(rng.uniform(0.05, 0.3))),
-    ]
-    picked = [spec for spec in menu if rng.random() < 0.75] or [menu[0]]
-    expire_one = bool(rng.integers(0, 2))
-    config = ServerConfig(max_batch_size=1,
-                          default_deadline_s=5.0, max_queue_depth=8,
-                          max_retries=2, retry_backoff_s=0.001,
-                          breaker_threshold=4, breaker_reset_s=0.05)
-
-    with inject_faults(FaultPlan(seed, picked)):
-        server = Server(session, config)
-        try:
-            pending = []
-            for index, source in enumerate(sources):
-                deadline_s = 0.0 if expire_one and index == 0 else None
-                try:
-                    future = server.submit(source, platform,
-                                           deadline_s=deadline_s)
-                except typed:
-                    continue        # typed admission rejection: allowed
-                pending.append((index, future))
-            for index, future in pending:
-                # note the order: DeadlineExceeded *is* a TimeoutError (and
-                # py3.11 aliases concurrent.futures.TimeoutError to it), so
-                # typed errors must be recognised before the hang detector
-                try:
-                    value = future.result(timeout=10.0)
-                except typed:
-                    continue        # typed failure: allowed
-                except FutureTimeout:
-                    raise AssertionError(
-                        f"request {index} hung under fault injection "
-                        "(future unresolved after 10s)")
-                assert float(value) == references[index], (
-                    f"request {index} silently corrupted: got {value!r}, "
-                    f"fault-free reference {references[index]!r}")
-            try:
-                batch = server.predict_batch(sources, platform,
-                                             deadline_s=5.0)
-            except typed:
-                pass
-            else:
-                np.testing.assert_array_equal(
-                    batch, reference_batch,
-                    err_msg="whole-job batch silently corrupted under faults")
-        finally:
-            server.close()
-
-
-def check_trace_completeness(seed: int) -> None:
-    """The ``repro.obs`` tracing contract: one span tree per request.
-
-    Seeded plan: a warm-started session serves a fixed request list from
-    1-3 concurrent submitting threads (so lane leadership changes hands
-    and singles coalesce) through a seed-chosen topology (batch size,
-    breaker on/off) inside ``trace_requests`` + ``metrics_scope`` scopes,
-    with seed-chosen fault injection and (some seeds) an already-expired
-    deadline.  The invariant: every submission either resolves or raises a
-    typed reliability error, AND yields **exactly one** completed
-    ``serve.request`` trace — structurally validated, JSON round-tripped to
-    a fixpoint, and carrying its ``serve.submit`` admission span.  Trace
-    accounting must balance (``began == completed == submissions``, nothing
-    dropped): an incomplete trace is a leaked request, a surplus one is a
-    double delivery.
+    * every request either yields a float64 result bit-identical to one
+      fault-free reference server's answer, or raises one of the typed
+      reliability errors.  A future unresolved after 10 s or a caller alive
+      after 60 s is a hang; an untyped error or a drifted result is silent
+      corruption;
+    * every submission yields **exactly one** completed ``serve.request``
+      trace — structurally validated, JSON round-tripped to a fixpoint and
+      carrying its ``serve.submit`` admission span — and the accounting
+      balances (``began == completed == submissions``, nothing dropped): an
+      incomplete trace is a leaked request, a surplus one a double delivery.
     """
     import threading
     from concurrent.futures import TimeoutError as FutureTimeout
@@ -707,30 +623,46 @@ def check_trace_completeness(seed: int) -> None:
     from ..serve import Server, ServerConfig
 
     rng = np.random.default_rng(seed)
-    session, platform, sources = _tiny_serving_stack(seed)
+    session, platform, sources = tiny_serving_stack(seed)
     typed = (DeadlineExceeded, ServerOverloaded, CircuitOpenError,
              TransientFaultError)
 
     menu = [
-        FaultSpec("engine.forward", "raise", float(rng.uniform(0.1, 0.4))),
-        FaultSpec("serve.worker", "delay", float(rng.uniform(0.1, 0.5)),
+        FaultSpec("engine.forward", "raise", float(rng.uniform(0.1, 0.5))),
+        FaultSpec("serve.worker", "delay", float(rng.uniform(0.1, 0.6)),
                   delay_s=float(rng.uniform(0.001, 0.003))),
-        FaultSpec("serve.submit", "raise", float(rng.uniform(0.05, 0.25))),
+        FaultSpec("serve.submit", "raise", float(rng.uniform(0.05, 0.3))),
     ]
-    picked = [spec for spec in menu if rng.random() < 0.5]
-    expire_one = bool(rng.integers(0, 2))
-    num_threads = int(rng.integers(1, 4))
-    config = ServerConfig(max_batch_size=int(rng.integers(1, 4)),
-                          default_deadline_s=5.0, max_queue_depth=16,
-                          max_retries=1, retry_backoff_s=0.001,
-                          breaker_threshold=int(rng.choice([0, 4])),
-                          breaker_reset_s=0.05)
+    common = dict(default_deadline_s=5.0, retry_backoff_s=0.001,
+                  breaker_reset_s=0.05)
+    if serving_plan(seed) == "chaos":
+        picked = [spec for spec in menu if rng.random() < 0.75] or [menu[0]]
+        callers = 1
+        config = ServerConfig(max_batch_size=1, max_queue_depth=8,
+                              max_retries=2, breaker_threshold=4, **common)
+    else:
+        picked = [spec for spec in menu if rng.random() < 0.5]
+        callers = int(rng.integers(1, 4))
+        config = ServerConfig(max_batch_size=int(rng.integers(1, 4)),
+                              max_queue_depth=16, max_retries=1,
+                              breaker_threshold=int(rng.choice([0, 4])),
+                              **common)
+    expire_first = bool(rng.integers(0, 2))
+
+    # fault-free float64 references (same execution path); the graph cache
+    # is cleared after, so the first request of each source runs cold
+    with Server(session, ServerConfig(max_retries=0,
+                                      breaker_threshold=0)) as clean:
+        references = [float(clean.predict_batch([source], platform)[0])
+                      for source in sources]
+        reference_batch = clean.predict_batch(sources, platform)
+    session.clear_cache()
 
     def run_traffic(server) -> int:
         submissions = 0
         pending = []
         for index, source in enumerate(sources):
-            deadline_s = 0.0 if expire_one and index == 0 else None
+            deadline_s = 0.0 if expire_first and index == 0 else None
             submissions += 1
             try:
                 future = server.submit(source, platform,
@@ -739,46 +671,50 @@ def check_trace_completeness(seed: int) -> None:
                 continue            # typed admission rejection: allowed
             pending.append((index, future))
         for index, future in pending:
-            # typed errors before the hang detector: DeadlineExceeded *is*
-            # a TimeoutError (see check_serve_under_faults)
+            # note the order: DeadlineExceeded *is* a TimeoutError (and
+            # py3.11 aliases concurrent.futures.TimeoutError to it), so
+            # typed errors must be recognised before the hang detector
             try:
-                future.result(timeout=10.0)
+                value = future.result(timeout=10.0)
             except typed:
                 continue            # typed failure: allowed
             except FutureTimeout:
                 raise AssertionError(
                     f"request {index} hung (future unresolved after 10s)")
+            assert float(value) == references[index], (
+                f"request {index} silently corrupted: got {value!r}, "
+                f"fault-free reference {references[index]!r}")
         submissions += 1
         try:
-            server.predict_batch(sources, platform,
-                                 deadline_s=5.0)
+            batch = server.predict_batch(sources, platform, deadline_s=5.0)
         except typed:
             pass
+        else:
+            np.testing.assert_array_equal(
+                batch, reference_batch,
+                err_msg="whole-job batch silently corrupted under faults")
         return submissions
 
     def serve_all() -> int:
-        server = Server(session, config)
         counts: List[int] = []
-        failures: List[str] = []
+        failures: List[BaseException] = []
 
         def client() -> None:
             try:
                 counts.append(run_traffic(server))
-            except Exception as error:  # noqa: BLE001 - reported below
-                failures.append(f"{type(error).__name__}: {error}")
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                failures.append(error)
 
-        threads = [threading.Thread(target=client)
-                   for _ in range(num_threads)]
-        try:
+        threads = [threading.Thread(target=client) for _ in range(callers)]
+        with Server(session, config) as server:
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60.0)
-        finally:
-            server.close()
         assert not any(thread.is_alive() for thread in threads), (
-            "a client thread hung past 60s")
-        assert not failures, failures[0]
+            "a caller hung past 60s")
+        if failures:
+            raise failures[0]
         return sum(counts)
 
     with metrics_scope(MetricsRegistry()):
@@ -1108,11 +1044,10 @@ _register("pooling-paths", check_pooling_paths, 16, "gnn")
 _register("config-roundtrip", check_config_roundtrip, 16, "api")
 _register("store-roundtrip", check_store_roundtrip, 6, "store")
 _register("serving-context-isolation", check_context_isolation, 6, "serve")
-_register("serve-under-faults", check_serve_under_faults, 50, "reliability")
+_register("serving-contract", check_serving_contract, 70, "reliability")
 _register("packed-forward-parity", check_packed_forward_parity, 16, "gnn")
 _register("analysis-planted-defects", check_analysis_planted_defects, 20,
           "analysis")
-_register("trace-completeness", check_trace_completeness, 20, "obs")
 _register("staged-encode-parity", check_staged_encode_parity, 24, "api")
 
 #: sum of the per-scenario defaults — the tier-1 corpus size.

@@ -15,7 +15,7 @@ from repro.hardware import V100
 from repro.kernels import get_kernel
 from repro.ml.trainer import TrainingConfig
 from repro.paragraph import GraphVariant
-from repro.pipeline import SweepConfig, WorkflowConfig
+from repro.pipeline import SweepConfig
 
 
 class TestValidation:
@@ -28,25 +28,17 @@ class TestValidation:
     def test_train_fraction_must_be_in_open_unit_interval(self, fraction):
         with pytest.raises(ValueError, match="train_fraction"):
             ReproConfig(train_fraction=fraction)
-        with pytest.raises(ValueError, match="train_fraction"):
-            WorkflowConfig(train_fraction=fraction)
 
     def test_unknown_conv_lists_registry_keys(self):
         with pytest.raises(ValueError, match=r"unknown convolution.*rgat"):
             ModelConfig(conv="transformer")
-        with pytest.raises(ValueError, match=r"unknown convolution.*rgat"):
-            WorkflowConfig(conv="transformer")
 
     def test_unknown_graph_variant_lists_valid_names(self):
         with pytest.raises(ValueError, match=r"unknown graph variant.*paragraph"):
             GraphConfig(variant="super_ast")
-        with pytest.raises(ValueError, match=r"unknown graph variant.*paragraph"):
-            WorkflowConfig(graph_variant="super_ast")
 
     def test_graph_variant_strings_are_coerced(self):
         assert GraphConfig(variant="raw_ast").variant is GraphVariant.RAW_AST
-        assert WorkflowConfig(graph_variant="raw_ast").graph_variant \
-            is GraphVariant.RAW_AST
 
     def test_unknown_platform_rejected_with_known_names(self):
         with pytest.raises(ValueError, match=r"unknown platform.*V100"):
@@ -123,29 +115,3 @@ class TestDictRoundTrip:
         with pytest.raises(ValueError, match="unknown convolution"):
             config_from_dict(payload)
 
-
-class TestWorkflowConfigAdapter:
-    def test_from_workflow_config_maps_every_field(self):
-        legacy = WorkflowConfig(
-            sweep=SweepConfig(size_scales=(1.0,)),
-            graph_variant=GraphVariant.RAW_AST,
-            training=TrainingConfig(epochs=3),
-            hidden_dim=12,
-            conv="gat",
-            seed=5,
-            train_fraction=0.75,
-            noisy_runtimes=False,
-        )
-        config = ReproConfig.from_workflow_config(legacy, platforms=(V100,))
-        assert config.graph.variant is GraphVariant.RAW_AST
-        assert config.model.hidden_dim == 12
-        assert config.model.conv == "gat"
-        assert config.training.epochs == 3
-        assert config.train_fraction == 0.75
-        assert config.seed == 5
-        assert config.data.noisy_runtimes is False
-        assert config.platform_specs() == (V100,)
-
-    def test_from_workflow_config_rejects_other_types(self):
-        with pytest.raises(TypeError, match="WorkflowConfig"):
-            ReproConfig.from_workflow_config({"hidden_dim": 4})

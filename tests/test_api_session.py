@@ -1,5 +1,7 @@
 """Tests for the repro.api session layer: stages, pipelines, Session."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from repro.api import (
 from repro.hardware import V100
 from repro.ml.trainer import TrainingConfig
 from repro.paragraph import GraphVariant
-from repro.pipeline import SweepConfig, WorkflowConfig, run_workflow
+from repro.pipeline import SweepConfig
 
 TINY_SWEEP = SweepConfig(size_scales=(1.0,), team_counts=(64,), thread_counts=(8, 64),
                          kernels=[get_kernel("matmul"), get_kernel("matvec")])
@@ -115,15 +117,10 @@ class TestSession:
         session.train()
         return session
 
-    def test_workflow_matches_legacy_run_workflow(self, session):
-        legacy_config = WorkflowConfig(sweep=TINY_SWEEP, training=TINY_TRAINING,
-                                       hidden_dim=12, seed=0)
-        with pytest.warns(DeprecationWarning, match="run_workflow is deprecated"):
-            legacy = run_workflow(legacy_config, platforms=(V100,))
-        ours = session.workflow()
-        assert ours.metrics_table() == legacy.metrics_table()
-        assert len(ours.build.datasets["NVIDIA V100"]) == \
-            len(legacy.build.datasets["NVIDIA V100"])
+    def test_no_warning_from_session_path(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            Session(tiny_config())     # construction must not warn
 
     def test_training_is_memoized(self, session):
         assert session.train() is session.train()

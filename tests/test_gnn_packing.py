@@ -3,7 +3,8 @@
 Covers the merged-layout construction (offset arithmetic must reproduce a
 from-scratch build of the concatenated graph exactly), the separate packed
 cache keyspace (packing combinatorial compositions must not thrash the main
-edge-layout LRU serving keeps hot), the packed-cache eviction order, the
+edge-layout LRU serving keeps hot, and one-graph packs, memoized on their
+solo layout, must not evict compositions), the packed-cache eviction order, the
 ``pack_graphs`` payload contract, and the ``packed-forward-parity`` corpus
 sweep asserting float64 bit-identity between packed and per-graph serving.
 """
@@ -171,6 +172,84 @@ class TestPackedCacheKeyspace:
         assert cache.info().misses == misses      # AB survived
         get(1, 0)
         assert cache.info().misses == misses + 1  # BA was evicted
+
+    def test_one_graph_packs_do_not_evict_compositions(self):
+        layout_cache = EdgeLayoutCache(capacity=16)
+        packed_cache = PackedLayoutCache(capacity=2)
+        pair = [random_encoded_graph(seed) for seed in (131, 132)]
+        first = pack_graphs(pair, RELATIONS, cache=packed_cache,
+                            layout_cache=layout_cache)
+        for seed in range(133, 137):    # more singles than the cache holds
+            pack_graphs([random_encoded_graph(seed)], RELATIONS,
+                        cache=packed_cache, layout_cache=layout_cache)
+        hits = packed_cache.info().hits
+        again = pack_graphs(pair, RELATIONS, cache=packed_cache,
+                            layout_cache=layout_cache)
+        assert again.layout is first.layout
+        assert packed_cache.info().hits == hits + 1
+
+    def test_one_graph_packs_count_as_memo_hits_and_misses(self):
+        layout_cache = EdgeLayoutCache(capacity=4)
+        packed_cache = PackedLayoutCache(capacity=2)
+        graph = random_encoded_graph(141)
+        first = pack_graphs([graph], RELATIONS, cache=packed_cache,
+                            layout_cache=layout_cache).layout
+        again = pack_graphs([graph], RELATIONS, cache=packed_cache,
+                            layout_cache=layout_cache).layout
+        info = packed_cache.info()
+        assert (info.hits, info.misses, info.size) == (1, 1, 0)
+        solo = first.layout
+        assert again.layout is solo
+        assert again.batch is first.batch       # parts come from the memo
+        np.testing.assert_array_equal(first.node_offsets, [0, solo.num_nodes])
+        np.testing.assert_array_equal(first.batch, np.zeros(solo.num_nodes))
+        assert first.chunks == (tuple(solo.blocks()),)
+
+    def test_one_graph_pack_memo_makes_no_reference_cycle(self):
+        import gc
+        import weakref
+
+        graph = random_encoded_graph(151)
+        gc.disable()
+        try:
+            batch = pack_graphs([graph], RELATIONS,
+                                cache=PackedLayoutCache(capacity=0),
+                                layout_cache=EdgeLayoutCache(capacity=0))
+            solo = weakref.ref(batch.layout.layout)
+            del batch
+            assert solo() is None, "layout outlived its last reference"
+        finally:
+            gc.enable()
+
+    def test_racing_first_one_graph_packs_share_one_memo(self):
+        import sys
+        import threading
+
+        workers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(161, 171):
+                _, (solo,) = _layouts([seed], cache=EdgeLayoutCache(capacity=0))
+                barrier = threading.Barrier(workers)
+                packs = []
+
+                def pack():
+                    barrier.wait(timeout=10.0)
+                    packs.append(merge_layouts([solo]))
+
+                threads = [threading.Thread(target=pack)
+                           for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(packs) == workers
+                assert len(solo._solo_pack) == 1
+                assert all(p.batch is packs[0].batch for p in packs)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_zero_capacity_never_stores(self):
         cache = PackedLayoutCache(capacity=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.advisor import ALL_VARIANTS, OpenMPAdvisor, VariantKind, generate_variant
+from repro.api import DataConfig, ModelConfig, ReproConfig, Session
 from repro.clang import analyze, parse_source
 from repro.hardware import POWER9, V100, RuntimeSimulator, analytical_cost_model
 from repro.kernels import get_kernel
@@ -13,10 +14,8 @@ from repro.paragraph import EdgeType, GraphEncoder, build_paragraph
 from repro.pipeline import (
     Configuration,
     SweepConfig,
-    WorkflowConfig,
     encode_configuration,
     generate_configurations,
-    run_workflow,
 )
 
 
@@ -97,27 +96,32 @@ class TestAdvisorEndToEnd:
 
 class TestWorkflowProducesLearnableSignal:
     def test_validation_error_improves_over_training(self):
-        config = WorkflowConfig(
-            sweep=SweepConfig(size_scales=(0.5, 1.0, 2.0), team_counts=(64,),
-                              thread_counts=(8, 64),
-                              kernels=[get_kernel("matmul"), get_kernel("matvec"),
-                                       get_kernel("transpose"), get_kernel("knn_distance")]),
+        config = ReproConfig(
+            data=DataConfig(
+                sweep=SweepConfig(size_scales=(0.5, 1.0, 2.0), team_counts=(64,),
+                                  thread_counts=(8, 64),
+                                  kernels=[get_kernel("matmul"), get_kernel("matvec"),
+                                           get_kernel("transpose"),
+                                           get_kernel("knn_distance")]),
+                platforms=(V100,)),
+            model=ModelConfig(hidden_dim=16),
             training=TrainingConfig(epochs=15, batch_size=16, learning_rate=3e-3, seed=0),
-            hidden_dim=16,
         )
-        result = run_workflow(config, platforms=(V100,))
+        result = Session(config).workflow()
         history = result.platforms["NVIDIA V100"].history
         # late-training error must beat the first epoch's error
         assert min(history.val_rmses[-5:]) < history.val_rmses[0]
 
     def test_dataset_statistics_show_cpu_gpu_count_difference(self):
-        config = WorkflowConfig(
-            sweep=SweepConfig(size_scales=(1.0,), team_counts=(64,), thread_counts=(8,),
-                              kernels=[get_kernel("matmul")]),
+        config = ReproConfig(
+            data=DataConfig(
+                sweep=SweepConfig(size_scales=(1.0,), team_counts=(64,), thread_counts=(8,),
+                                  kernels=[get_kernel("matmul")]),
+                platforms=(V100, POWER9)),
+            model=ModelConfig(hidden_dim=8),
             training=TrainingConfig(epochs=1, batch_size=4, seed=0),
-            hidden_dim=8,
         )
-        result = run_workflow(config, platforms=(V100, POWER9))
+        result = Session(config).workflow()
         v100_count = len(result.build.datasets["NVIDIA V100"])
         power9_count = len(result.build.datasets["IBM POWER9"])
         # 4 GPU variants vs 2 CPU variants => GPU dataset twice as large (Table II shape)

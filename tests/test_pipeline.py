@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.advisor import VariantKind
+from repro.api import DataConfig, ModelConfig, ReproConfig, Session
 from repro.hardware import EPYC7401, MI50, POWER9, V100
 from repro.kernels import get_kernel
 from repro.ml.trainer import TrainingConfig
@@ -14,13 +15,11 @@ from repro.pipeline import (
     DatasetBuilder,
     RuntimeCollector,
     SweepConfig,
-    WorkflowConfig,
     drop_application,
     encode_configuration,
     filter_for_platform,
     generate_configurations,
     generate_paragraph,
-    run_workflow,
     scale_sizes,
     table2_statistics,
 )
@@ -166,14 +165,16 @@ class TestDatasetBuilder:
 
 
 class TestWorkflow:
-    def test_run_workflow_trains_and_reports(self):
-        config = WorkflowConfig(
-            sweep=SweepConfig(size_scales=(0.5, 1.0), team_counts=(64,), thread_counts=(8, 64),
-                              kernels=SMALL_KERNELS),
+    def test_workflow_trains_and_reports(self):
+        config = ReproConfig(
+            data=DataConfig(
+                sweep=SweepConfig(size_scales=(0.5, 1.0), team_counts=(64,),
+                                  thread_counts=(8, 64), kernels=SMALL_KERNELS),
+                platforms=(V100,)),
+            model=ModelConfig(hidden_dim=12),
             training=TrainingConfig(epochs=4, batch_size=16, learning_rate=3e-3, seed=0),
-            hidden_dim=12,
         )
-        result = run_workflow(config, platforms=(V100,))
+        result = Session(config).workflow()
         assert "NVIDIA V100" in result.platforms
         platform_result = result.platforms["NVIDIA V100"]
         assert len(platform_result.history) == 4
@@ -181,12 +182,14 @@ class TestWorkflow:
         assert metrics["rmse"] > 0 and 0 <= metrics["normalized_rmse"] < 10
 
     def test_workflow_skips_platform_with_too_few_samples(self):
-        config = WorkflowConfig(
-            sweep=SweepConfig(size_scales=(1.0,), team_counts=(64,), thread_counts=(8,),
-                              kernels=[get_kernel("matvec")],
-                              variant_kinds=(VariantKind.GPU,)),
+        config = ReproConfig(
+            data=DataConfig(
+                sweep=SweepConfig(size_scales=(1.0,), team_counts=(64,), thread_counts=(8,),
+                                  kernels=[get_kernel("matvec")],
+                                  variant_kinds=(VariantKind.GPU,)),
+                platforms=(POWER9,)),
+            model=ModelConfig(hidden_dim=8),
             training=TrainingConfig(epochs=2, batch_size=4, seed=0),
-            hidden_dim=8,
         )
-        result = run_workflow(config, platforms=(POWER9,))
+        result = Session(config).workflow()
         assert result.platforms == {}

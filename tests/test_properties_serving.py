@@ -2,41 +2,35 @@
 
 Drives a (tiny) trained :class:`repro.api.Session` with the generated
 kernel corpus and asserts the serving-path equivalences: cold vs warm
-``predict_batch``, batch vs single ``predict``, and cache accounting.  Also sweeps the ``config-roundtrip``
-scenario and pins down the ``run_workflow`` deprecation shim and
-``ReproConfig`` rejection of invalid stage dicts (satellite #4).
+``predict_batch``, batch vs single ``predict``, and cache accounting.  Also
+sweeps the ``config-roundtrip``, ``serving-context-isolation`` and
+``serving-contract`` scenarios (the last split by plan: chaos and
+concurrent) and pins down ``ReproConfig`` rejection of invalid stage
+dicts.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.api import DataConfig, ModelConfig, ReproConfig, Session, get_kernel
 from repro.ml.trainer import TrainingConfig
-from repro.pipeline import SweepConfig, WorkflowConfig, run_workflow
-from repro.synth import build_corpus, run_cases
-
-TINY_CONFIG = dict(
-    data=lambda: DataConfig(
-        sweep=SweepConfig(size_scales=(1.0,), team_counts=(64,),
-                          thread_counts=(8, 64),
-                          kernels=[get_kernel("matmul")]),
-        platforms=("v100",)),
-    model=lambda: ModelConfig(hidden_dim=10),
-    training=lambda: TrainingConfig(epochs=2, batch_size=16,
-                                    learning_rate=2e-3, seed=0),
-)
-
-
-def tiny_config() -> ReproConfig:
-    return ReproConfig(data=TINY_CONFIG["data"](), model=TINY_CONFIG["model"](),
-                       training=TINY_CONFIG["training"](), seed=0)
+from repro.pipeline import SweepConfig
+from repro.synth import build_corpus, cases_for, run_cases, seeds_for
+from repro.synth.harness import serving_plan
 
 
 @pytest.fixture(scope="module")
 def session():
-    session = Session(tiny_config())
+    session = Session(ReproConfig(
+        data=DataConfig(
+            sweep=SweepConfig(size_scales=(1.0,), team_counts=(64,),
+                              thread_counts=(8, 64),
+                              kernels=[get_kernel("matmul")]),
+            platforms=("v100",)),
+        model=ModelConfig(hidden_dim=10),
+        training=TrainingConfig(epochs=2, batch_size=16,
+                                learning_rate=2e-3, seed=0),
+        seed=0))
     session.train()
     return session
 
@@ -98,29 +92,41 @@ class TestContextIsolation:
         assert report.ok and report.cases >= 2
 
 
+def contract_seeds(plan: str) -> list:
+    """The ``serving-contract`` seeds that take *plan*.  At least seven
+    consecutive seeds are drawn, so every plan gets some at any scale."""
+    count = max(7, cases_for("serving-contract"))
+    return [seed for seed in seeds_for("serving-contract", count)
+            if serving_plan(seed) == plan]
+
+
 class TestServeUnderFaults:
-    """Seeded chaos sweep: under fault injection every request either
-    returns a float64 result bit-identical to the fault-free reference or
-    a typed reliability error — never a hang, never silent corruption."""
+    """Seeded chaos sweep (the ``serving-contract`` chaos plan: one caller,
+    ``max_batch_size=1``, at least one fault): under fault injection every
+    request either returns a float64 result bit-identical to the
+    fault-free reference or a typed reliability error — never a hang,
+    never silent corruption — and yields exactly one complete trace."""
 
     def test_serve_under_faults_corpus(self):
-        report = run_cases("serve-under-faults")
+        report = run_cases("serving-contract", seeds=contract_seeds("chaos"))
         assert report.ok and report.cases >= 2
 
 
 class TestTraceCompleteness:
-    """Seeded tracing sweep: under any topology and seeded faults, every
-    submitted request yields exactly one completed, well-formed
-    ``serve.request`` span tree (validated + JSON fixpoint) or a typed
+    """Seeded tracing sweep (the ``serving-contract`` concurrent plan: 1-3
+    callers, coalesced batches, breaker on or off): every submitted request
+    yields exactly one completed, well-formed ``serve.request`` span tree
+    (validated + JSON fixpoint) and a bit-identical result or a typed
     error — trace accounting balances, nothing leaks or double-delivers."""
 
     def test_trace_completeness_corpus(self):
-        report = run_cases("trace-completeness")
+        report = run_cases("serving-contract",
+                           seeds=contract_seeds("concurrent"))
         assert report.ok and report.cases >= 2
 
 
 class TestInvalidStageDicts:
-    """ReproConfig.from_dict must reject bad stage payloads (satellite #4)."""
+    """ReproConfig.from_dict must reject bad stage payloads."""
 
     def test_invalid_model_dict(self):
         with pytest.raises(ValueError, match="hidden_dim"):
@@ -152,48 +158,3 @@ class TestInvalidStageDicts:
         with pytest.raises(TypeError):
             ReproConfig.from_dict({"model": {"not_a_field": 1}})
 
-
-class TestWorkflowShim:
-    """run_workflow stays a faithful DeprecationWarning shim (satellite #4)."""
-
-    def test_emits_deprecation_warning_and_delegates(self, monkeypatch):
-        from repro.api import session as session_module
-
-        captured = {}
-
-        def fake_workflow(self):
-            captured["config"] = self.config
-            return "sentinel"
-
-        monkeypatch.setattr(session_module.Session, "workflow", fake_workflow)
-        config = WorkflowConfig(sweep=SweepConfig(size_scales=(1.0,)),
-                                hidden_dim=9, conv="rgcn", seed=3,
-                                train_fraction=0.8, noisy_runtimes=False)
-        with pytest.warns(DeprecationWarning, match="run_workflow is deprecated"):
-            result = run_workflow(config)
-        assert result == "sentinel"
-        adapted = captured["config"]
-        assert adapted.model.hidden_dim == 9
-        assert adapted.model.conv == "rgcn"
-        assert adapted.seed == 3
-        assert adapted.train_fraction == 0.8
-        assert adapted.data.noisy_runtimes is False
-        assert adapted.data.sweep.size_scales == (1.0,)
-
-    def test_shim_result_equals_pipeline_path(self):
-        # the real end-to-end equality: legacy shim vs Session on the same
-        # adapted config must produce identical metrics (deterministic seeds)
-        legacy_config = WorkflowConfig(
-            sweep=TINY_CONFIG["data"]().sweep, training=TINY_CONFIG["training"](),
-            hidden_dim=10, seed=0)
-        from repro.hardware import V100
-        with pytest.warns(DeprecationWarning):
-            legacy = run_workflow(legacy_config, platforms=(V100,))
-        modern = Session(ReproConfig.from_workflow_config(
-            legacy_config, (V100,))).workflow()
-        assert legacy.metrics_table() == modern.metrics_table()
-
-    def test_no_warning_from_session_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Session(tiny_config())     # construction must not warn

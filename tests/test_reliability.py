@@ -46,7 +46,7 @@ from repro.reliability.faults import (
     SITES,
 )
 from repro.serve import Server, ServerConfig
-from repro.synth.harness import _tiny_serving_stack
+from repro.synth.harness import tiny_serving_stack
 
 
 def _parse_error(message: str = "syntax error") -> ParseError:
@@ -70,7 +70,7 @@ def _deepest_parsing(make) -> int:
 @pytest.fixture(scope="module")
 def warm_stack():
     """A serving-ready session without training (shared, read-only)."""
-    session, platform, sources = _tiny_serving_stack(917)
+    session, platform, sources = tiny_serving_stack(917)
     yield session, platform, sources
     session.close()
 
@@ -659,9 +659,9 @@ class TestObservability:
 class TestStoreFaultHooks:
     @pytest.fixture()
     def tiny_artifact_inputs(self):
-        from repro.synth.harness import _tiny_serving_stack
+        from repro.synth.harness import tiny_serving_stack
 
-        session, platform, _ = _tiny_serving_stack(23)
+        session, platform, _ = tiny_serving_stack(23)
         trainer = session.trainer_for(platform)
         yield session, platform, trainer
         session.close()
