@@ -230,12 +230,18 @@ def test_packed_forward_beats_per_graph_loop(benchmark):
     batch at least as fast as predicting its graphs one by one, while
     staying float64 bit-identical to the per-graph ``Trainer.predict``.
 
-    Two arms, interleaved round-robin with min-of-N per arm (a noisy
-    neighbour inflates every arm instead of biasing one):
+    Two arms:
 
     * **per-graph loop** — one ``predict_batch([spec])`` call per request,
     * **packed** — one ``predict_batch`` call per wave: one fused
       block-diagonal forward.
+
+    Each round times the two arms back to back, the first arm alternating
+    by round, and yields one paired ratio (per-graph time ÷ packed time);
+    the gate takes the median over rounds.  The host switches between
+    speed phases, so the two arms' minima over all rounds can come from
+    different phases, while a paired round sees one phase — or straddles a
+    switch, and the median drops that round.
     """
     from repro.ml.dataset import GraphDataset
 
@@ -262,13 +268,17 @@ def test_packed_forward_beats_per_graph_loop(benchmark):
     np.testing.assert_array_equal(packed_wave(), reference)
     np.testing.assert_array_equal(per_graph_wave(), reference)
 
-    best_s = {name: float("inf") for name in arms}
-    for _ in range(PACKED_ROUNDS):
-        for name, wave in arms.items():
+    seconds = {name: [] for name in arms}
+    ratios = []
+    for index in range(PACKED_ROUNDS):
+        for name in (list(arms) if index % 2 == 0 else list(arms)[::-1]):
             start = time.perf_counter()
-            wave()
-            best_s[name] = min(best_s[name], time.perf_counter() - start)
-    rps = {name: len(requests) / elapsed for name, elapsed in best_s.items()}
+            arms[name]()
+            seconds[name].append(time.perf_counter() - start)
+        ratios.append(seconds["per_graph"][-1] / seconds["packed"][-1])
+    ratio = float(np.median(ratios))
+    rps = {name: len(requests) / float(np.median(elapsed))
+           for name, elapsed in seconds.items()}
 
     benchmark.pedantic(packed_wave, rounds=1, iterations=1)
 
@@ -280,27 +290,30 @@ def test_packed_forward_beats_per_graph_loop(benchmark):
 
     report("\n".join([
         f"packed vs per-graph serving ({len(requests)} kernels/wave, "
-        f"min of {PACKED_ROUNDS} interleaved waves, float64, warm):",
+        f"median of {PACKED_ROUNDS} paired rounds, float64, warm):",
         f"  per-graph loop                : {rps['per_graph']:8.1f} req/s",
         f"  packed block-diagonal forward : {rps['packed']:8.1f} req/s "
-        f"({rps['packed'] / rps['per_graph']:.2f}x per-graph)",
+        f"({ratio:.2f}x per-graph, median paired ratio)",
     ]))
     report_json("BENCH_pr8_packed.json", {
         "corpus_size": len(requests),
         "rounds": PACKED_ROUNDS,
         "per_graph_rps": rps["per_graph"],
         "packed_rps": rps["packed"],
-        "packed_vs_per_graph": rps["packed"] / rps["per_graph"],
+        "packed_vs_per_graph": ratio,
+        "per_graph_s": seconds["per_graph"],
+        "packed_s": seconds["packed"],
         "pr4_single_caller_rps": pr4_single_rps,
         "cpu_count": os.cpu_count() or 1,
         "quick_mode": QUICK,
     })
 
-    # packed must keep up with the per-graph loop; min-of-interleaved arms
+    # packed must keep up with the per-graph loop; the median paired ratio
     # still jitters a few percent on a loaded single-core CI box, so the
     # floor carries a small noise allowance rather than a strict >=
-    assert rps["packed"] >= 0.92 * rps["per_graph"], (
-        f"packed forward fell behind the per-graph loop: {rps}")
+    assert ratio >= 0.92, (
+        f"packed forward fell behind the per-graph loop: {ratio:.2f}x "
+        f"(paired ratios {[round(r, 3) for r in ratios]}, rps {rps})")
 
 
 RELIABILITY_ROUNDS = 3 if QUICK else 7

@@ -5,8 +5,9 @@ The original code selected GNN convolutions with hard-coded ``if conv ==
 looked hardware platforms up in a private dict.  The three registries here
 make those axes discoverable and extensible through one mechanism:
 
-* :data:`conv_registry` — graph-convolution factories (``rgat``, ``rgcn``,
-  ``gat``), extensible with :func:`register_conv`,
+* :data:`conv_registry` — graph-convolution factories (``rgat``,
+  ``rgcn``), extensible with :func:`register_conv`; a factory's conv must
+  have a ``forward_packed`` inference kernel,
 * :data:`kernel_registry` — the Table I benchmark kernels, extensible with
   :func:`register_kernel`,
 * :data:`platform_registry` — the hardware platforms (with short aliases
@@ -176,7 +177,8 @@ def _populate_platforms(registry: Registry) -> None:
                           override=True)
 
 
-#: Graph-convolution factories keyed by kind (``rgat`` / ``rgcn`` / ``gat``).
+#: Graph-convolution factories keyed by kind (``rgat`` / ``rgcn``); each
+#: builds a conv with a ``forward_packed`` inference kernel.
 conv_registry = Registry("convolution", populate=_populate_convs)
 #: Benchmark kernels keyed by kernel name (``matmul``, ``pf_normalize``, …).
 kernel_registry = Registry("kernel", populate=_populate_kernels)

@@ -273,8 +273,6 @@ class PredictStage(Stage):
     The whole request list runs through one block-diagonal packed forward
     (:meth:`repro.ml.trainer.Trainer.predict_packed`) on the no-autodiff
     fast path in float64, bit-identical to predicting each graph alone.
-    Models without a packed kernel fall back to the per-batch dataset
-    loop inside ``predict_packed``.
     """
 
     requires = ("encoded", "trainer")

@@ -1,7 +1,7 @@
 """``repro.gnn`` — graph neural-network layers and the ParaGraph model.
 
-Substitute for PyTorch-Geometric: relational graph attention (RGAT), RGCN
-and GAT convolutions, global pooling readouts, and the full
+Substitute for PyTorch-Geometric: relational graph attention (RGAT) and
+RGCN convolutions, global pooling readouts, and the full
 :class:`ParaGraphModel` (3×RGAT + auxiliary-feature branch + FC head).
 
 The relational convolutions are vectorized over relations via the cached
@@ -15,7 +15,9 @@ per-relation-loop ``forward_reference`` for the parity regression tests and
 :mod:`repro.gnn.packing` packs graphs into one block-diagonal
 ``PackedLayout`` so a whole serving micro-batch costs a single forward
 (``ParaGraphModel.predict_packed``) that is float64 bit-identical to
-predicting each graph alone; a single graph is a pack of one.
+predicting each graph alone; a single graph is a pack of one.  Every model
+predicts through its convs' packed kernels: ``ParaGraphModel`` rejects a
+registered conv kind without one.
 """
 
 from .edge_layout import (
@@ -25,13 +27,8 @@ from .edge_layout import (
     get_edge_layout,
     layout_content_key,
 )
-from .gat import GATConv
-from .message_passing import (
-    MessagePassing,
-    add_self_loops,
-    validate_edge_index,
-)
-from .models import COMPOFFStyleMLP, ParaGraphModel
+from .message_passing import MessagePassing, validate_edge_index
+from .models import ParaGraphModel
 from .packing import (
     PACK_NODE_BUDGET,
     PackedBatch,
@@ -53,10 +50,8 @@ from .rgat import RGATConv
 from .rgcn import RGCNConv
 
 __all__ = [
-    "COMPOFFStyleMLP",
     "EdgeLayoutCache",
     "PACK_NODE_BUDGET",
-    "GATConv",
     "MessagePassing",
     "PackedBatch",
     "PackedLayout",
@@ -65,7 +60,6 @@ __all__ = [
     "RGATConv",
     "RGCNConv",
     "RelationalEdgeLayout",
-    "add_self_loops",
     "edge_layout_cache_info",
     "get_edge_layout",
     "global_max_pool",

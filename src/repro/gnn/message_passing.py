@@ -9,14 +9,12 @@ aggregate → update scheme over an edge list:
 3. aggregate messages per destination node (sum or mean),
 4. update node states.
 
-:class:`MessagePassing` provides the shared plumbing; concrete layers
-(:class:`~repro.gnn.rgat.RGATConv`, :class:`~repro.gnn.rgcn.RGCNConv`,
-:class:`~repro.gnn.gat.GATConv`) override :meth:`forward`.
+:class:`MessagePassing` provides the shared plumbing; the concrete layers
+(:class:`~repro.gnn.rgat.RGATConv`, :class:`~repro.gnn.rgcn.RGCNConv`)
+override :meth:`forward` and add a ``forward_packed`` inference kernel.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,31 +31,6 @@ def validate_edge_index(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     if edge_index.size and (edge_index.min() < 0 or edge_index.max() >= num_nodes):
         raise ValueError("edge_index references nodes outside [0, num_nodes)")
     return edge_index
-
-
-def add_self_loops(edge_index: np.ndarray, num_nodes: int,
-                   edge_type: Optional[np.ndarray] = None,
-                   self_loop_type: int = 0,
-                   edge_weight: Optional[np.ndarray] = None,
-                   self_loop_weight: float = 0.0) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Append one self-loop per node to the edge list.
-
-    Self-loops let a node keep its own state during aggregation; they are
-    given their own relation id (``self_loop_type``) so the relational layers
-    learn a separate transformation for them.
-    """
-    loops = np.arange(num_nodes, dtype=np.int64)
-    loop_index = np.stack([loops, loops])
-    new_index = np.concatenate([edge_index, loop_index], axis=1)
-    new_type = None
-    if edge_type is not None:
-        new_type = np.concatenate([np.asarray(edge_type, dtype=np.int64),
-                                   np.full(num_nodes, self_loop_type, dtype=np.int64)])
-    new_weight = None
-    if edge_weight is not None:
-        new_weight = np.concatenate([np.asarray(edge_weight, dtype=np.float64),
-                                     np.full(num_nodes, self_loop_weight)])
-    return new_index, new_type, new_weight
 
 
 class MessagePassing(Module):

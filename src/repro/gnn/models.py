@@ -27,7 +27,6 @@ from ..nn.tensor import Tensor, concatenate, no_grad
 from ..paragraph.encoders import GraphBatch
 from ..paragraph.edges import NUM_EDGE_TYPES
 from .edge_layout import get_edge_layout
-from .gat import GATConv
 from .pooling import (global_mean_max_pool, global_mean_pool, global_sum_pool,
                       packed_readout)
 from .rgat import RGATConv
@@ -37,7 +36,8 @@ from .rgcn import RGCNConv
 # --------------------------------------------------------------------- #
 # convolution registry: every factory takes the same keyword signature so
 # model-selection code can treat the kinds uniformly (repro.api.register_conv
-# adds new kinds without touching this module).
+# adds new kinds without touching this module).  A factory returns a conv
+# with a training ``forward`` and a ``forward_packed`` inference kernel.
 # --------------------------------------------------------------------- #
 @register_conv("rgat")
 def _make_rgat(in_dim, hidden_dim, *, num_relations, heads, use_edge_weight, rng):
@@ -49,12 +49,6 @@ def _make_rgat(in_dim, hidden_dim, *, num_relations, heads, use_edge_weight, rng
 def _make_rgcn(in_dim, hidden_dim, *, num_relations, heads, use_edge_weight, rng):
     return RGCNConv(in_dim, hidden_dim, num_relations,
                     use_edge_weight=use_edge_weight, rng=rng)
-
-
-@register_conv("gat")
-def _make_gat(in_dim, hidden_dim, *, num_relations, heads, use_edge_weight, rng):
-    return GATConv(in_dim, hidden_dim, heads=heads,
-                   use_edge_weight=use_edge_weight, rng=rng)
 
 
 class ParaGraphModel(Module):
@@ -76,8 +70,9 @@ class ParaGraphModel(Module):
         Widths of the fully-connected layers applied after concatenation.
     conv:
         Which relational convolution to use: ``"rgat"`` (paper), ``"rgcn"``
-        or ``"gat"`` (design-ablation alternatives), or any kind added with
-        :func:`repro.api.register_conv`.
+        (the design-ablation alternative), or any kind added with
+        :func:`repro.api.register_conv` whose conv has a ``forward_packed``
+        inference kernel (:class:`TypeError` otherwise).
     use_edge_weight:
         Forwarded to the convolution layers; switching it off turns the model
         into the Augmented-AST ablation even when weights are present.
@@ -118,8 +113,13 @@ class ParaGraphModel(Module):
         factory = conv_registry.get(conv)
 
         def make_conv(in_dim: int) -> Module:
-            return factory(in_dim, hidden_dim, num_relations=num_relations,
-                           heads=heads, use_edge_weight=use_edge_weight, rng=rng)
+            layer = factory(in_dim, hidden_dim, num_relations=num_relations,
+                            heads=heads, use_edge_weight=use_edge_weight, rng=rng)
+            if not hasattr(layer, "forward_packed"):
+                raise TypeError(
+                    f"convolution kind {conv!r} built a {type(layer).__name__}, "
+                    "which has no forward_packed inference kernel")
+            return layer
 
         self.convs = []
         in_dim = node_feature_dim
@@ -156,11 +156,9 @@ class ParaGraphModel(Module):
                                  int(batch.node_features.shape[0]),
                                  self.num_relations)
         for conv_layer in self.convs:
-            kwargs = {"layout": layout} if getattr(conv_layer, "accepts_layout",
-                                                   False) else {}
             x = F.relu(conv_layer(x, batch.edge_index,
                                   edge_type=batch.edge_type,
-                                  edge_weight=batch.edge_weight, **kwargs))
+                                  edge_weight=batch.edge_weight, layout=layout))
             if self.dropout is not None:
                 x = self.dropout(x)
         if self.readout == "sum":
@@ -184,10 +182,9 @@ class ParaGraphModel(Module):
 
         This is the collated path: every GEMM sees the whole batch.  Serving
         and :meth:`repro.ml.trainer.Trainer.predict` run
-        :meth:`predict_packed` instead whenever :meth:`supports_packed`, so
-        this path serves only models whose convs lack a packed kernel (GAT,
-        custom registered kinds).  It also stays the independent solo
-        reference the packed kernel is checked against, to rounding.
+        :meth:`predict_packed` instead; this path stays the independent
+        reference the packed kernel is checked against, to rounding (the
+        ``packed-forward-parity`` scenario and the GNN micro-benchmark).
 
         No autodiff graph is recorded, and the flag is context-local, so
         concurrent ``predict`` calls on a shared model don't interfere.  The
@@ -199,10 +196,6 @@ class ParaGraphModel(Module):
             return self.forward(batch).data.copy()
 
     # ------------------------------------------------------------------ #
-    def supports_packed(self) -> bool:
-        """Whether every conv layer has a packed block-diagonal kernel."""
-        return all(hasattr(layer, "forward_packed") for layer in self.convs)
-
     def forward_packed(self, batch) -> np.ndarray:
         """The inference forward over a packed batch of one or more graphs.
 
@@ -242,29 +235,3 @@ class ParaGraphModel(Module):
         with no_grad():
             return self.forward_packed(batch)
 
-
-class COMPOFFStyleMLP(Module):
-    """An MLP over flat feature vectors, mirroring the COMPOFF baseline shape.
-
-    Kept in the GNN package so model-selection code can treat graph and
-    non-graph regressors uniformly; the actual COMPOFF feature extraction
-    lives in :mod:`repro.compoff`.
-    """
-
-    def __init__(self, num_features: int, hidden_dims: Sequence[int] = (64, 64, 32),
-                 seed: Optional[int] = None) -> None:
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        dims = [num_features] + list(hidden_dims)
-        self.layers = []
-        for i in range(len(dims) - 1):
-            layer = Linear(dims[i], dims[i + 1], rng=rng)
-            self.register_module(f"fc{i}", layer)
-            self.layers.append(layer)
-        self.out = Linear(dims[-1], 1, rng=rng)
-
-    def forward(self, features: Tensor) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        for layer in self.layers:
-            x = F.relu(layer(x))
-        return self.out(x).reshape(-1)

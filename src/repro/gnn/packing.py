@@ -13,9 +13,8 @@ predicting each graph alone — a pack of one — for *any* packing order or
 composition.  BLAS kernels are not bit-stable across matrix shapes (OpenBLAS
 picks micro-kernels by row count), so the packed kernels in
 :mod:`repro.gnn.rgat` / :mod:`repro.gnn.rgcn` run every GEMM on one graph's
-rows — a (graph, relation) chunk of edges or a graph's node block, each
-graph keeping its own choice of projection — while everything that *is*
-composition-stable fuses across the merged layout: edge
+rows — a (graph, relation) chunk of edges or a graph's node block — while
+everything that *is* composition-stable fuses across the merged layout: edge
 gathers, the leaky-relu / segment-softmax / edge-weight tail, ``reduceat``
 reductions, scatter aggregation, and pooling.  The
 ``packed-forward-parity`` scenario in :mod:`repro.synth.harness` sweeps this

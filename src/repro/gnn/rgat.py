@@ -17,13 +17,16 @@ weightless augmentation edges (w = 0) are unaffected.
 The layer has three forwards over a cached, relation-bucketed
 :class:`~repro.gnn.edge_layout.RelationalEdgeLayout`:
 
-* :meth:`RGATConv.forward` — autodiff training, and the ``no_grad`` path of
-  models whose convs lack a packed kernel.  It projects only the rows each
-  relation touches (one GEMM per relation block): ParaGraph graphs have
-  about two edges per node, far too few for an all-node projection to pay.
+* :meth:`RGATConv.forward` — autodiff training, and the collated ``no_grad``
+  reference :meth:`~repro.gnn.models.ParaGraphModel.predict`.  It projects
+  only the rows each relation touches (one GEMM per relation block):
+  ParaGraph graphs have about two edges per node, far too few for an
+  all-node projection to pay.
 * :meth:`RGATConv.forward_packed` — the one inference kernel, over a packed
   block of graphs (:mod:`repro.gnn.packing`; a single graph is a pack of
-  one).
+  one).  It scores attention on each graph's node block with the attention
+  vectors folded into the projection and projects messages per relation
+  block, the same one body for every graph shape.
 * :meth:`RGATConv.forward_reference` — the seed per-relation loop, kept as
   the ground truth for the parity tests and the
   ``benchmarks/test_perf_gnn_forward.py`` micro-benchmark.
@@ -108,10 +111,6 @@ class RGATConv(MessagePassing):
     def output_dim(self) -> int:
         return self.heads * self.out_channels
 
-    #: :class:`~repro.gnn.models.ParaGraphModel` passes its per-forward cached
-    #: edge layout to layers advertising this flag.
-    accepts_layout = True
-
     def forward(
         self,
         x: Tensor,
@@ -167,39 +166,34 @@ class RGATConv(MessagePassing):
             aggregated = aggregated + (x @ self.self_weight)
         return aggregated + self.bias
 
-    def _fused_pack(self):
-        """Pre-packed single-GEMM weights for :meth:`forward_packed`'s
-        all-node projection.
+    def _folded_attention(self):
+        """The attention vectors folded into the projection, for
+        :meth:`forward_packed`'s node-block scores.
 
-        ``W2`` is the relation-stacked projection reshaped to ``(F, R*H*C)``
-        so all relations project in one BLAS call, and ``A_src`` / ``A_dst``
-        fold the attention vectors into the projection
-        (``score = x @ (W · att)``), shape ``(F, R*H)`` — attention scores
-        never materialise the per-node, per-relation feature block.  Cached
-        per conv, keyed by the identity of the parameter arrays so a pack
+        ``A_src`` / ``A_dst`` hold ``W_r · att_r`` for every relation, shape
+        ``(F, R*H)`` with column ``r*H + h``: ``x @ A_src`` scores every node
+        as a source under every relation in one GEMM, and an edge's
+        ``(node, relation)`` cell indexes the ``(N*R, H)`` view of it.
+        Cached per conv, keyed by the identity of the parameter arrays (the
+        optimizers and ``load_state_dict`` rebind ``.data``), so the fold
         lives until the weights change; building is idempotent, so racing
         builders are safe without a lock.
         """
         weight, att_src, att_dst = self.weight.data, self.att_src.data, self.att_dst.data
-        cached = self.__dict__.get("_fused_pack_cache")
+        cached = self.__dict__.get("_folded_attention_cache")
         if cached is not None and cached[0] is weight and cached[1] is att_src \
                 and cached[2] is att_dst:
             return cached[3:]
         num_relations, in_channels = weight.shape[0], weight.shape[1]
-        heads, out_channels = self.heads, self.out_channels
-        w4 = weight.reshape(num_relations, in_channels, heads, out_channels)
-        packed_w = np.ascontiguousarray(
-            weight.transpose(1, 0, 2).reshape(in_channels, -1))
-        packed_a_src = np.ascontiguousarray(
-            np.einsum("rfhc,rhc->rfh", w4, att_src)
+        w4 = weight.reshape(num_relations, in_channels, self.heads,
+                            self.out_channels)
+        a_src, a_dst = (np.ascontiguousarray(
+            np.einsum("rfhc,rhc->rfh", w4, att)
             .transpose(1, 0, 2).reshape(in_channels, -1))
-        packed_a_dst = np.ascontiguousarray(
-            np.einsum("rfhc,rhc->rfh", w4, att_dst)
-            .transpose(1, 0, 2).reshape(in_channels, -1))
-        self.__dict__["_fused_pack_cache"] = (weight, att_src, att_dst,
-                                              packed_w, packed_a_src,
-                                              packed_a_dst)
-        return packed_w, packed_a_src, packed_a_dst
+            for att in (att_src, att_dst))
+        self.__dict__["_folded_attention_cache"] = (weight, att_src, att_dst,
+                                                    a_src, a_dst)
+        return a_src, a_dst
 
     def forward_packed(self, x: np.ndarray, packed,
                        edge_weight: Optional[np.ndarray] = None) -> np.ndarray:
@@ -209,17 +203,13 @@ class RGATConv(MessagePassing):
         a pack of one); *x* is the concatenated node features, *edge_weight*
         the concatenated weights in original per-graph edge order.
         Bit-identity contract (see :mod:`repro.gnn.packing`): every BLAS call
-        runs on one graph's rows — a (graph, relation) chunk of edges or the
-        graph's node block — so its shape never depends on what else is
-        packed, while the composition-stable per-edge tail (leaky-relu,
+        runs on one graph's rows — the graph's node block for the attention
+        scores (``x_g @ (W_r · att_r)``, :meth:`_folded_attention`), a
+        (graph, relation) chunk of gathered source rows for the messages —
+        so its shape never depends on what else is packed, while the
+        composition-stable per-edge work (the score gathers, leaky-relu,
         segment softmax, edge-weight scaling, scatter aggregation) runs once
         over the merged layout.  Inference-only: raw arrays, no autodiff.
-
-        A graph projects its edges relation block by relation block, as
-        every ParaGraph graph does (about two edges per node).  A graph with
-        at least ``num_relations / 2`` edges per node projects each node
-        once per relation in one GEMM instead (:meth:`_fused_pack`), which
-        is cheaper at that density.
         """
         layout = packed.layout
         heads, out_channels = self.heads, self.out_channels
@@ -232,44 +222,25 @@ class RGATConv(MessagePassing):
             aggregated = np.zeros((num_nodes, heads * out_channels),
                                   dtype=out_dtype)
         else:
-            src, dst = layout.src, layout.dst
-            # chunks partition every graph's edges, so each row of h / logit
-            # is written exactly once below — the buffers start uninitialised
+            a_src, a_dst = self._folded_attention()
+            # chunks partition every graph's edges, so each message row is
+            # written exactly once, and the score rows of edgeless graphs are
+            # never gathered — the buffers start uninitialised
+            score_src = np.empty((num_nodes, a_src.shape[1]), dtype=out_dtype)
+            score_dst = np.empty_like(score_src)
             h = np.empty((num_edges, heads, out_channels), dtype=out_dtype)
-            logit = np.empty((num_edges, heads), dtype=out_dtype)
             flat = h.reshape(num_edges, heads * out_channels)
-            att_src, att_dst = self.att_src.data, self.att_dst.data
             for g, chunks in enumerate(packed.chunks):
                 if not chunks:
                     continue
                 n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
-                graph_edges = sum(hi - lo for _, lo, hi in chunks)
-                if self.num_relations * (n1 - n0) <= 2 * graph_edges:
-                    packed_w, packed_a_src, packed_a_dst = self._fused_pack()
-                    xg = x[n0:n1]
-                    proj = (xg @ packed_w).reshape(-1, heads, out_channels)
-                    score_src = (xg @ packed_a_src).reshape(-1, heads)
-                    score_dst = (xg @ packed_a_dst).reshape(-1, heads)
-                    base = n0 * self.num_relations   # global → graph-local cell
-                    for _, lo, hi in chunks:
-                        cell_s = layout.cell_src[lo:hi] - base
-                        h[lo:hi] = proj[cell_s]
-                        logit[lo:hi] = score_src[cell_s] \
-                            + score_dst[layout.cell_dst[lo:hi] - base]
-                else:
-                    # GEMMs write straight into the packed buffer; within a
-                    # chunk every edge shares one relation, so the attention
-                    # vectors broadcast instead of gathering (E, H, C) rows
-                    for relation, lo, hi in chunks:
-                        np.matmul(x[src[lo:hi]], weight[relation],
-                                  out=flat[lo:hi])
-                        h_dst = (x[dst[lo:hi]] @ weight[relation]).reshape(
-                            hi - lo, heads, out_channels)
-                        np.einsum("ehc,hc->eh", h[lo:hi], att_src[relation],
-                                  out=logit[lo:hi])
-                        logit[lo:hi] += np.einsum("ehc,hc->eh", h_dst,
-                                                  att_dst[relation])
-
+                np.matmul(x[n0:n1], a_src, out=score_src[n0:n1])
+                np.matmul(x[n0:n1], a_dst, out=score_dst[n0:n1])
+                F.packed_segment_matmul_data(x, layout.src, weight, chunks,
+                                             flat)
+            dst = layout.dst
+            logit = score_src.reshape(-1, heads)[layout.cell_src] \
+                + score_dst.reshape(-1, heads)[layout.cell_dst]   # (E, H)
             logit = np.where(logit > 0, logit, self.negative_slope * logit)
             seg_max = layout.segment_reduce(logit, op="max")
             logit -= seg_max[dst]

@@ -56,8 +56,6 @@ class RGCNConv(MessagePassing):
     def output_dim(self) -> int:
         return self.out_channels
 
-    accepts_layout = True
-
     def forward(
         self,
         x: Tensor,

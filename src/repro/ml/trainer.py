@@ -120,18 +120,14 @@ class Trainer:
         )
 
     # ------------------------------------------------------------------ #
-    def predict(self, dataset: Iterable[EncodedGraph],
-                batch_size: Optional[int] = None, dtype=None) -> np.ndarray:
+    def predict(self, dataset: Iterable[EncodedGraph], dtype=None) -> np.ndarray:
         """Predict runtimes (microseconds) for every graph in *dataset*.
 
-        When the model has a packed kernel (``model.supports_packed()``),
-        the graphs run through the kernel serving uses: they are packed into
+        The graphs run through the kernel serving uses: they are packed into
         block-diagonal batches (:func:`repro.gnn.pack_graphs`) of bounded
-        node count (:func:`repro.gnn.split_packs`), and every answer is
-        bit-identical to predicting that graph alone, for any dataset order
-        or split.  Other models (GAT, a custom registered conv, the COMPOFF
-        MLP) run their collated ``no_grad`` forward in batches of
-        *batch_size* graphs (default: the training batch size).
+        node count (:func:`repro.gnn.split_packs`) and predicted with
+        ``model.predict_packed``, so every answer is bit-identical to
+        predicting that graph alone, for any dataset order or split.
 
         Inference is float64, the one precision the engine serves.  *dtype*
         survives only so callers written against the former float32/float64
@@ -147,31 +143,18 @@ class Trainer:
         graphs = list(dataset)
         if not graphs:
             return np.zeros(0)
+        # imported lazily: repro.gnn pulls in the api registries, which in
+        # turn import this module
+        from ..gnn.packing import pack_graphs, split_packs
         from ..obs.tracing import span
 
         outputs: List[np.ndarray] = []
-        supports = getattr(self.model, "supports_packed", None)
-        if supports is not None and supports():
-            # imported lazily: repro.gnn pulls in the api registries, which
-            # in turn import this module
-            from ..gnn.packing import pack_graphs, split_packs
-
-            for pack in split_packs(graphs):
-                batch = pack_graphs(pack, self.model.num_relations)
-                batch.aux_features = self.aux_scaler.transform(
-                    batch.aux_features)
-                with span("engine.forward", num_graphs=len(pack),
-                          packed=True):
-                    outputs.append(self.model.predict_packed(batch))
-        else:
-            collated = GraphDataset(graphs, name="predict")
-            for batch in collated.batches(batch_size or self.config.batch_size,
-                                          shuffle=False):
-                scaled = self._scaled_batch(batch)
-                with span("engine.forward", num_graphs=scaled.num_graphs,
-                          packed=False):
-                    outputs.append(self.model.predict(scaled))
-        scaled_predictions = np.concatenate(outputs).astype(np.float64)
+        for pack in split_packs(graphs):
+            batch = pack_graphs(pack, self.model.num_relations)
+            batch.aux_features = self.aux_scaler.transform(batch.aux_features)
+            with span("engine.forward", num_graphs=len(pack)):
+                outputs.append(self.model.predict_packed(batch))
+        scaled_predictions = np.concatenate(outputs)
         # clamp to the scaler's range before inverting so expm1 cannot overflow
         scaled_predictions = np.clip(scaled_predictions, 0.0, 1.0)
         return self.target_scaler.inverse_transform(scaled_predictions)

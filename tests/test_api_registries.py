@@ -91,7 +91,7 @@ class TestRegistryMechanics:
 
 class TestDefaultRegistries:
     def test_conv_registry_has_builtin_kinds(self):
-        assert {"rgat", "rgcn", "gat"} <= set(conv_registry.keys())
+        assert {"rgat", "rgcn"} <= set(conv_registry.keys())
         assert callable(get_conv("rgat"))
 
     def test_register_conv_extends_model_selection(self):

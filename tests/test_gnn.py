@@ -1,15 +1,13 @@
-"""Tests for the GNN layers (RGAT/RGCN/GAT), pooling and the ParaGraph model."""
+"""Tests for the GNN layers (RGAT/RGCN), pooling and the ParaGraph model."""
 
 import numpy as np
 import pytest
 
 from repro.clang import analyze, parse_snippet
 from repro.gnn import (
-    GATConv,
     ParaGraphModel,
     RGATConv,
     RGCNConv,
-    add_self_loops,
     global_max_pool,
     global_mean_max_pool,
     global_mean_pool,
@@ -56,15 +54,6 @@ class TestEdgeValidation:
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             validate_edge_index(np.array([[0], [5]]), 3)
-
-    def test_add_self_loops(self):
-        index = np.array([[0, 1], [1, 2]])
-        new_index, new_type, new_weight = add_self_loops(
-            index, 3, edge_type=np.array([1, 2]), self_loop_type=0,
-            edge_weight=np.array([0.5, 0.7]), self_loop_weight=0.0)
-        assert new_index.shape == (2, 5)
-        assert new_type.tolist() == [1, 2, 0, 0, 0]
-        assert new_weight.tolist() == [0.5, 0.7, 0.0, 0.0, 0.0]
 
 
 class TestRGATConv:
@@ -158,11 +147,6 @@ class TestOtherConvolutions:
         out.sum().backward()
         assert conv.weight.grad is not None and conv.root_weight.grad is not None
 
-    def test_gat_is_single_relation(self):
-        x, ei, _, ew = random_graph_inputs()
-        conv = GATConv(5, 4, heads=2, rng=np.random.default_rng(0))
-        assert conv(x, ei).shape == (6, 8)
-
     def test_rgcn_isolated_node_keeps_root_transform(self):
         x = Tensor(np.ones((3, 2)))
         conv = RGCNConv(2, 2, num_relations=1, rng=np.random.default_rng(0))
@@ -231,9 +215,8 @@ class TestParaGraphModel:
 
     def test_alternative_convolutions(self):
         encoder, batch = self._encoded_batch()
-        for conv in ("rgcn", "gat"):
-            model = ParaGraphModel(encoder.feature_dim, hidden_dim=8, conv=conv, seed=0)
-            assert model(batch).shape == (3,)
+        model = ParaGraphModel(encoder.feature_dim, hidden_dim=8, conv="rgcn", seed=0)
+        assert model(batch).shape == (3,)
 
     def test_unknown_convolution_raises(self):
         with pytest.raises(ValueError):

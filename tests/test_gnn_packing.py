@@ -5,8 +5,10 @@ from-scratch build of the concatenated graph exactly), the separate packed
 cache keyspace (packing combinatorial compositions must not thrash the main
 edge-layout LRU serving keeps hot, and one-graph packs, memoized on their
 solo layout, must not evict compositions), the packed-cache eviction order, the
-``pack_graphs`` payload contract, and the ``packed-forward-parity`` corpus
-sweep asserting float64 bit-identity between packed and per-graph serving.
+``pack_graphs`` payload contract, the ``packed-forward-parity`` corpus
+sweep asserting float64 bit-identity between packed and per-graph serving,
+the rejection of conv kinds without a packed kernel, and RGAT's
+folded-attention memo following weight changes.
 """
 
 import numpy as np
@@ -335,23 +337,29 @@ class TestSplitPacks:
 
 
 class TestModelFallback:
-    def test_gat_models_report_no_packed_support(self):
-        model = ParaGraphModel(node_feature_dim=6, hidden_dim=4, conv="gat",
-                               num_conv_layers=1, seed=0)
-        assert not model.supports_packed()
+    def test_conv_without_packed_kernel_is_rejected(self):
+        # there is no collated fallback: a conv kind must bring its packed
+        # inference kernel, or the model refuses to build
+        from repro.api import conv_registry, register_conv
+        from repro.gnn import MessagePassing
 
-    def test_trainer_falls_back_to_the_per_graph_loop(self):
-        from repro.synth.graph_gen import GraphGenConfig
+        class TrainingOnlyConv(MessagePassing):
+            output_dim = 4
 
-        shapes = GraphGenConfig(num_nodes=(2, 10), feature_dim=6)
-        graphs = [random_encoded_graph(seed, shapes) for seed in (131, 132)]
-        model = ParaGraphModel(node_feature_dim=6, hidden_dim=4, conv="gat",
-                               num_conv_layers=1, seed=0)
-        trainer = Trainer(model, TrainingConfig(epochs=1))
-        trainer._fit_scalers(GraphDataset(graphs, name="fallback"))
-        np.testing.assert_array_equal(
-            trainer.predict_packed(graphs),
-            trainer.predict(GraphDataset(graphs, name="fallback")))
+            def forward(self, x, edge_index, **kwargs):
+                return x
+
+        @register_conv("test_training_only")
+        def make(in_dim, hidden_dim, *, num_relations, heads,
+                 use_edge_weight, rng):
+            return TrainingOnlyConv()
+
+        try:
+            with pytest.raises(TypeError, match="test_training_only"):
+                ParaGraphModel(node_feature_dim=6, hidden_dim=4,
+                               conv="test_training_only", seed=0)
+        finally:
+            conv_registry.unregister("test_training_only")
 
     def test_predict_packed_requires_fitted_scalers(self):
         model = ParaGraphModel(node_feature_dim=6, hidden_dim=4,
@@ -367,3 +375,42 @@ class TestModelFallback:
         trainer._fit_scalers(GraphDataset([random_encoded_graph(151)],
                                           name="empty"))
         assert trainer.predict_packed([]).shape == (0,)
+
+
+class TestFoldedAttentionMemo:
+    """RGAT's folded attention weights are memoized by parameter-array
+    identity; every way the weights change must reach the packed kernel."""
+
+    @staticmethod
+    def _model(seed):
+        return ParaGraphModel(node_feature_dim=6, hidden_dim=4,
+                              num_conv_layers=2, heads=2, seed=seed)
+
+    def _assert_matches_fresh_model(self, model, batch):
+        fresh = self._model(seed=99)
+        fresh.load_state_dict(model.state_dict())
+        np.testing.assert_array_equal(model.predict_packed(batch),
+                                      fresh.predict_packed(batch))
+
+    def test_memo_follows_weight_rebinding(self):
+        from repro.nn import Adam
+        from repro.paragraph.encoders import GraphEncoder
+        from repro.synth.graph_gen import GraphGenConfig
+
+        shapes = GraphGenConfig(num_nodes=(4, 24), feature_dim=6)
+        graphs = [random_encoded_graph(seed, shapes) for seed in (191, 192)]
+        batch = pack_graphs(graphs, RELATIONS)
+        model = self._model(seed=0)
+        before = model.predict_packed(batch)          # fills the memo
+
+        model.load_state_dict(self._model(seed=1).state_dict())
+        self._assert_matches_fresh_model(model, batch)
+        assert not np.array_equal(model.predict_packed(batch), before)
+
+        loaded = model.predict_packed(batch)
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        prediction = model(GraphEncoder.collate(graphs))
+        (prediction * prediction).sum().backward()
+        optimizer.step()
+        self._assert_matches_fresh_model(model, batch)
+        assert not np.array_equal(model.predict_packed(batch), loaded)

@@ -1,11 +1,12 @@
 """Parity regressions for the vectorized relational GNN kernels.
 
 The vectorized ``RGATConv`` / ``RGCNConv`` forwards (relation-bucketed edge
-layout + per-relation-block projections + fused gather/softmax/scatter)
-must reproduce the seed per-relation-loop implementations — kept as
-``forward_reference`` — to float64 precision, for values *and* gradients,
-across edge-rich, sparse, single-relation and empty-relation regimes.  Also
-covers the edge-layout cache.
+layout + per-relation-block projections + fused gather/softmax/scatter), and
+RGAT's packed inference kernel on a one-graph pack, must reproduce the seed
+per-relation-loop implementations — kept as ``forward_reference`` — to
+float64 precision, for values *and* gradients, across edge-rich, sparse,
+single-relation and empty-relation regimes.  Also covers the edge-layout
+cache.
 """
 
 import numpy as np
@@ -13,14 +14,15 @@ import pytest
 
 from repro.gnn import (
     EdgeLayoutCache,
-    GATConv,
     ParaGraphModel,
     RGATConv,
     RGCNConv,
     RelationalEdgeLayout,
     get_edge_layout,
+    pack_graphs,
 )
 from repro.nn import Tensor
+from repro.paragraph.encoders import EncodedGraph
 
 
 def random_graph(num_nodes, num_edges, num_relations, dim=5, seed=0):
@@ -32,8 +34,8 @@ def random_graph(num_nodes, num_edges, num_relations, dim=5, seed=0):
     return x, edge_index, edge_type, edge_weight
 
 
-# ``(N, E, R)`` regimes: edge-rich (R*N <= 2E), sparse relations, single
-# relation, empty relations
+# ``(N, E, R)`` regimes: edge-rich (5 edges per node), sparse relations,
+# single relation, empty relations
 REGIMES = [(6, 30, 3), (12, 6, 8), (7, 25, 1), (10, 18, 8)]
 
 
@@ -47,6 +49,12 @@ class TestRGATParity:
         reference = conv.forward_reference(Tensor(x_data), ei, et, ew)
         vectorized = conv(Tensor(x_data), ei, et, ew)
         np.testing.assert_allclose(vectorized.data, reference.data, atol=1e-9)
+        # the inference kernel on a one-graph pack, as serving runs it
+        pack = pack_graphs([EncodedGraph(x_data, ei, et, ew, np.zeros(2))],
+                           num_relations)
+        served = conv.forward_packed(pack.node_features, pack.layout,
+                                     pack.edge_weight)
+        np.testing.assert_allclose(served, reference.data, atol=1e-9)
 
     @pytest.mark.parametrize("num_nodes,num_edges,num_relations", REGIMES)
     def test_gradients_match_reference(self, num_nodes, num_edges, num_relations):
@@ -201,13 +209,3 @@ class TestEdgeLayout:
         b = get_edge_layout(ei.copy(), et.copy(), 3, 2)
         assert a is b
         assert edge_layout_cache_info().hits >= before.hits + 1
-
-
-class TestGATStillWorks:
-    def test_gat_accepts_foreign_layout(self):
-        x_data, ei, et, ew = random_graph(6, 12, 3)
-        gat = GATConv(5, 3, rng=np.random.default_rng(0))
-        layout = get_edge_layout(ei, et, 6, 3)
-        out = gat(Tensor(x_data), ei, edge_weight=ew, layout=layout)
-        np.testing.assert_allclose(
-            out.data, gat(Tensor(x_data), ei, edge_weight=ew).data, atol=1e-12)
